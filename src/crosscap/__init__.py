@@ -14,7 +14,7 @@ The public surface:
 * :mod:`crosscap.cli` -- the ``crosscap`` command-line tool.
 """
 
-from .components import ComponentProfile, GluingDescription, half_differences, profile, reconstruct
+from .components import ComponentProfile, GluingDescription, profile, reconstruct
 from .coords import (
     DynnikovCoordinates,
     SurfaceSpec,
@@ -23,7 +23,6 @@ from .coords import (
     format_triangle,
     parse_coords,
     parse_triangle,
-    validate,
 )
 from .intersect import (
     ElementaryCurve,
@@ -58,7 +57,6 @@ __all__ = [
     "elementary_values",
     "format_coords",
     "format_triangle",
-    "half_differences",
     "intermediates",
     "intersect_elementary",
     "invert",
@@ -69,6 +67,5 @@ __all__ = [
     "realizable",
     "reconstruct",
     "run_selftest",
-    "validate",
     "__version__",
 ]

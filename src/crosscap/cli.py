@@ -26,7 +26,12 @@ from .coords import (
     parse_coords,
     parse_triangle,
 )
-from .errors import CrosscapError, DimensionMismatchError
+from .errors import (
+    CoordinateSyntaxError,
+    CrosscapError,
+    DimensionMismatchError,
+    InvalidRangeError,
+)
 from .intersect import catalog, elementary_values, parse_curve
 from .inversion import coordinatize, invert
 from .large import RegionRange, counts_for_range
@@ -57,30 +62,32 @@ def _add_coords_input(sub: argparse.ArgumentParser, triangle: bool = False):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
-def _read_vector(args) -> DynnikovCoordinates:
+def _read_input(args, cls, parse):
+    """The coordinates of ``cls`` from ``--file`` JSON or the positional text."""
     if args.file:
         with open(args.file) as fh:
-            coords = DynnikovCoordinates.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CoordinateSyntaxError(
+                    f"{args.file} is not valid JSON: {exc.msg}", exc.pos
+                ) from None
+        value = cls.from_dict(data)
     elif args.coords is not None:
-        coords = parse_coords(args.coords)
+        value = parse(args.coords)
     else:
         raise CrosscapError("no coordinates given (positional argument or --file)")
-    if args.n is not None and coords.n != args.n:
-        raise DimensionMismatchError(f"coordinates have n={coords.n}, not n={args.n}")
-    return coords
+    if args.n is not None and value.n != args.n:
+        raise DimensionMismatchError(f"coordinates have n={value.n}, not n={args.n}")
+    return value
+
+
+def _read_vector(args) -> DynnikovCoordinates:
+    return _read_input(args, DynnikovCoordinates, parse_coords)
 
 
 def _read_triangle(args) -> TriangleCoordinates:
-    if args.file:
-        with open(args.file) as fh:
-            tri = TriangleCoordinates.from_dict(json.load(fh))
-    elif args.coords is not None:
-        tri = parse_triangle(args.coords)
-    else:
-        raise CrosscapError("no coordinates given (positional argument or --file)")
-    if args.n is not None and tri.n != args.n:
-        raise DimensionMismatchError(f"coordinates have n={tri.n}, not n={args.n}")
-    return tri
+    return _read_input(args, TriangleCoordinates, parse_triangle)
 
 
 def _emit(data, human: str, as_json: bool):
@@ -143,6 +150,11 @@ def _cmd_profile(args) -> int:
         if l <= prof.n:
             ranges.append((f"S'_({l},1)", RegionRange.through_first(l)))
             ranges.append((f"S'_({l},2)", RegionRange.through_second(l)))
+        if not ranges:
+            raise InvalidRangeError(
+                f"--large {l} {m} names no range: need L <= M <= {prof.n - 1} "
+                f"or L <= {prof.n}"
+            )
         for name, rng in ranges:
             counts = counts_for_range(prof, rng)
             data["large"][name] = {

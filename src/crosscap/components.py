@@ -25,10 +25,9 @@ transverse order, which is what makes the surface non-orientable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from .coords import TriangleCoordinates
-from .errors import EndpointMismatchError, ParityViolationError
+from .errors import EndpointMismatchError
 
 __all__ = [
     "ABOVE",
@@ -42,7 +41,6 @@ __all__ = [
     "BOUNDING_CURVE",
     "NonprimitiveCurves",
     "ComponentProfile",
-    "half_differences",
     "profile",
     "Link",
     "GluingDescription",
@@ -61,25 +59,6 @@ CORE_LOOP = "core_loop"
 NONCORE_LOOP = "noncore_loop"
 CORE_CURVE = "core_curve"
 BOUNDING_CURVE = "bounding_curve"
-
-
-def half_differences(tri: TriangleCoordinates | Sequence[int]) -> tuple[int, ...]:
-    """``b_i = (beta_i - beta_{i+1}) / 2``, exactly.
-
-    Accepts a :class:`TriangleCoordinates` or a bare ``beta`` sequence;
-    raises :class:`ParityViolationError` on odd differences.
-    """
-    beta = tri.beta if isinstance(tri, TriangleCoordinates) else tuple(tri)
-    out = []
-    for i in range(len(beta) - 1):
-        d = beta[i] - beta[i + 1]
-        if d % 2:
-            raise ParityViolationError(
-                f"beta_{i + 1}={beta[i]} and beta_{i + 2}={beta[i + 1]} "
-                "differ by an odd amount"
-            )
-        out.append(d // 2)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -139,18 +118,6 @@ class ComponentProfile:
     cross2_core_loops: int
     cross2_noncore_loops: int
     nonprimitive: NonprimitiveCurves
-
-    @property
-    def right_noncore_loops(self) -> int:
-        """Non-core loops anchored on ``beta_n`` (zero when loops sit left)."""
-        return self.cross1_noncore_loops if self.cross1_side == "right" else 0
-
-    def region_above(self, region: int) -> int:
-        """Above count for region ``1..n-1`` or the first crosscap (``n``)."""
-        return self.cross1_above if region == self.n else self.above[region - 1]
-
-    def region_below(self, region: int) -> int:
-        return self.cross1_below if region == self.n else self.below[region - 1]
 
     def endpoints_on_arc(self, arc: int) -> tuple[int, int]:
         """Component endpoints on arc ``arc`` (0-based) from its two sides."""
@@ -428,22 +395,4 @@ def reconstruct(prof: ComponentProfile) -> GluingDescription:
         links=tuple(links),
         left_links=tuple(tuple(col) for col in left_tbl),
         right_links=tuple(tuple(col) for col in right_tbl),
-    )
-
-
-def _paper_literal_crosscap_above_below(tri: TriangleCoordinates) -> tuple[int, int]:
-    """Uncorrected above/below counts at the first crosscap, test-only.
-
-    These are the published forms without the factor-of-two normalization;
-    they double-count and are kept solely so the regression suite can
-    document that the corrected forms are load-bearing.
-    """
-    b = tri.half_differences()
-    bn = b[-1]
-    psi = max(max(tri.c1, 0) - abs(bn), 0)
-    t = tri.gamma - psi - max(tri.beta[-2], tri.beta[-1])
-    mx = max(tri.beta[-2], tri.beta[-1])
-    return (
-        t - psi + mx - 2 * abs(bn),
-        -t - psi + mx - 2 * abs(bn),
     )

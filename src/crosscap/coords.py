@@ -42,7 +42,6 @@ __all__ = [
     "SurfaceSpec",
     "DynnikovCoordinates",
     "TriangleCoordinates",
-    "validate",
     "parse_coords",
     "format_coords",
     "parse_triangle",
@@ -64,13 +63,35 @@ class SurfaceSpec:
             raise DimensionMismatchError(f"puncture count must be >= 2, got {self.n}")
 
 
+def _require_int(value, what: str):
+    """Reject bools and everything that is not an exact integer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DimensionMismatchError(f"{what} must be an integer, got {value!r}")
+
+
 def _as_int_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
-    out = []
-    for v in values:
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise DimensionMismatchError(f"{what} entries must be integers, got {v!r}")
-        out.append(v)
-    return tuple(out)
+    try:
+        out = tuple(values)
+    except TypeError:  # not iterable
+        raise DimensionMismatchError(
+            f"{what} must be a list of integers, got {values!r}"
+        ) from None
+    for v in out:
+        _require_int(v, f"each {what} entry")
+    return out
+
+
+def _fields(data: dict, keys: tuple[str, ...]) -> list:
+    """The JSON fields ``keys`` plus the two ``c`` entries (default zero)."""
+    if not isinstance(data, dict):
+        raise DimensionMismatchError(f"expected a JSON object, got {data!r}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise DimensionMismatchError(f"missing key(s) {', '.join(missing)}")
+    c = data.get("c", [0, 0])
+    if not isinstance(c, (list, tuple)) or len(c) != 2:
+        raise DimensionMismatchError("c must have exactly 2 entries")
+    return [data[key] for key in keys] + list(c)
 
 
 @dataclass(frozen=True)
@@ -90,6 +111,8 @@ class DynnikovCoordinates:
     c2: int
 
     def __post_init__(self):
+        for what in ("n", "t", "c1", "c2"):
+            _require_int(getattr(self, what), what)
         if self.n < 2:
             raise DimensionMismatchError(f"puncture count must be >= 2, got {self.n}")
         object.__setattr__(self, "a", _as_int_tuple(self.a, "a"))
@@ -126,31 +149,8 @@ class DynnikovCoordinates:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DynnikovCoordinates":
-        c = data.get("c", [0, 0])
-        if len(c) != 2:
-            raise DimensionMismatchError("c must have exactly 2 entries")
-        return cls(
-            n=int(data["n"]),
-            a=tuple(data["a"]),
-            b=tuple(data["b"]),
-            t=int(data["t"]),
-            c1=int(c[0]),
-            c2=int(c[1]),
-        )
-
-
-def validate(coords: DynnikovCoordinates) -> DynnikovCoordinates:
-    """Check the codomain conditions and hand the value back.
-
-    Construction already enforces them, so this only re-asserts: block
-    lengths matching ``n`` and at least one nonzero entry.  Negative ``c``
-    entries are legal (non-primitive components).
-    """
-    if len(coords.a) != coords.n - 1 or len(coords.b) != coords.n:
-        raise DimensionMismatchError("block lengths inconsistent with n")
-    if not any(coords.entries()):
-        raise ZeroVectorError("the zero vector encodes no multicurve")
-    return coords
+        n, a, b, t, c1, c2 = _fields(data, ("n", "a", "b", "t"))
+        return cls(n=n, a=a, b=b, t=t, c1=c1, c2=c2)
 
 
 @dataclass(frozen=True)
@@ -178,6 +178,8 @@ class TriangleCoordinates:
     c2: int
 
     def __post_init__(self):
+        for what in ("n", "gamma", "c1", "c2"):
+            _require_int(getattr(self, what), what)
         n = self.n
         if n < 2:
             raise DimensionMismatchError(f"puncture count must be >= 2, got {n}")
@@ -251,17 +253,8 @@ class TriangleCoordinates:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TriangleCoordinates":
-        c = data.get("c", [0, 0])
-        if len(c) != 2:
-            raise DimensionMismatchError("c must have exactly 2 entries")
-        return cls(
-            n=int(data["n"]),
-            alpha=tuple(data["alpha"]),
-            beta=tuple(data["beta"]),
-            gamma=int(data["gamma"]),
-            c1=int(c[0]),
-            c2=int(c[1]),
-        )
+        n, alpha, beta, gamma, c1, c2 = _fields(data, ("n", "alpha", "beta", "gamma"))
+        return cls(n=n, alpha=alpha, beta=beta, gamma=gamma, c1=c1, c2=c2)
 
 
 # ---------------------------------------------------------------------------

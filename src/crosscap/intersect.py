@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import large as _large
 from .components import ComponentProfile, profile
 from .coords import DynnikovCoordinates, TriangleCoordinates
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
     UnsupportedCurveError,
 )
 from .inversion import invert
-from .large import RegionRange
+from .large import RegionRange, _row, _span
 
 __all__ = [
     "ElementaryCurve",
@@ -136,19 +135,22 @@ class ElementaryCurve:
 def parse_curve(text: str) -> ElementaryCurve:
     """Parse ``"Cij:2,3"``, ``"Cprime1:1"``, ``"C"``, ``"D"``, ``"core:1"`` ..."""
     head, _, tail = text.strip().partition(":")
+
+    def indices(count: int, what: str) -> list[int]:
+        try:
+            values = [int(part) for part in tail.split(",")]
+        except ValueError:
+            values = []
+        if len(values) != count:
+            raise InvalidParameterError(f"{head} needs {what}, got {text!r}")
+        return values
+
     if head == "Cij":
-        parts = tail.split(",")
-        if len(parts) != 2:
-            raise InvalidParameterError(f"Cij needs two indices, got {text!r}")
-        return ElementaryCurve.Cij(int(parts[0]), int(parts[1]))
+        return ElementaryCurve.Cij(*indices(2, "two integer indices"))
     if head in ("Cprime1", "Cprime2"):
-        if not tail:
-            raise InvalidParameterError(f"{head} needs an index, got {text!r}")
-        return ElementaryCurve(kind=head, i=int(tail))
+        return ElementaryCurve(kind=head, i=indices(1, "an integer index")[0])
     if head in ("core", "bounding"):
-        if not tail:
-            raise InvalidParameterError(f"{head} needs a crosscap index, got {text!r}")
-        return ElementaryCurve(kind=head, j=int(tail))
+        return ElementaryCurve(kind=head, j=indices(1, "an integer crosscap index")[0])
     if head in ("C", "D") and not tail:
         return ElementaryCurve(kind=head)
     raise InvalidParameterError(f"cannot parse curve spec {text!r}")
@@ -196,79 +198,68 @@ def elementary_coords(curve: ElementaryCurve, n: int) -> DynnikovCoordinates:
     return DynnikovCoordinates(n=n, a=a, b=tuple(b), t=0, c1=c1, c2=c2)
 
 
-def _beta_left(tri: TriangleCoordinates, i: int) -> int:
-    """``beta_{i-1}``, reading ``beta_0 = 0`` (no arc left of puncture 1)."""
-    return tri.beta[i - 2] if i >= 2 else 0
-
-
-def _value_from_triangle(
-    tri: TriangleCoordinates, prof: ComponentProfile, curve: ElementaryCurve
-) -> int:
-    n = tri.n
+def _curve_range(curve: ElementaryCurve, n: int) -> RegionRange:
+    """The region range a disk-bounding curve encloses (``D`` reads ``C``'s)."""
     if curve.kind == "Cij":
-        i, j = curve.i, curve.j
-        rng = RegionRange.punctures(i - 1, j - 1)
-        over, under = _large.large_over_under(prof, i - 1, j - 1)
-        return (
-            _beta_left(tri, i)
-            + tri.beta[j - 1]
-            - 2
-            * (
-                _large.large_right(prof, rng)
-                + _large.large_left(prof, rng)
-                + over
-                + under
-            )
-        )
+        return RegionRange.punctures(curve.i - 1, curve.j - 1)
     if curve.kind == "Cprime1":
-        i = curve.i
-        rng = RegionRange.through_first(i - 1)
-        over, under = _large.crosscap_over_under(prof, i - 1)
-        return (
-            _beta_left(tri, i)
-            + tri.beta[n]
-            - 2
-            * (
-                _large.large_right(prof, rng)
-                + _large.large_left(prof, rng)
-                + over
-                + under
-            )
-        )
+        return RegionRange.through_first(curve.i - 1)
     if curve.kind == "Cprime2":
-        i = curve.i
-        rng = RegionRange.through_second(i - 1)
-        return _beta_left(tri, i) - 2 * _large.large_right(prof, rng)
-    if curve.kind == "C":
-        rng = RegionRange.through_second(n)
-        return tri.beta[n - 1] - 2 * _large.large_right(prof, rng)
-    # D: both cases reduce to the C count and the core crossing numbers.
-    with_c = _value_from_triangle(tri, prof, ElementaryCurve.C())
-    if with_c == 0:
-        return abs(tri.c1 - tri.c2)
-    return with_c - tri.c1 - tri.c2
+        return RegionRange.through_second(curve.i - 1)
+    return RegionRange.through_second(n)
 
 
-def intersect_elementary(coords: DynnikovCoordinates, curve: ElementaryCurve) -> int:
-    """Geometric intersection number of the multicurve with one elementary
-    curve.
-
-    Non-primitive curve kinds are rejected (no formula exists for them), as
-    are multicurves with negative ``c`` entries (the formulas consume plain
-    crossing counts).
-    """
-    if curve.nonprimitive:
-        raise UnsupportedCurveError(
-            f"no intersection formula for non-primitive curve {curve.label()}"
-        )
+def _checked(
+    coords: DynnikovCoordinates, curves: tuple[ElementaryCurve, ...] | None
+) -> tuple[ElementaryCurve, ...]:
+    """The curves the formulas evaluate on ``coords`` (default: the full
+    in-scope catalog), after rejecting what they do not cover."""
     if coords.c1 < 0 or coords.c2 < 0:
         raise NonprimitiveContentError(
             "multicurve carries whole non-primitive components "
             f"(c1={coords.c1}, c2={coords.c2}); intersection with them is undefined here"
         )
-    curve.check(coords.n)
-    tri = invert(coords)
-    return _value_from_triangle(tri, profile(tri), curve)
+    if curves is None:
+        return catalog(coords.n)
+    for curve in curves:
+        if curve.nonprimitive:
+            raise UnsupportedCurveError(
+                f"no intersection formula for non-primitive curve {curve.label()}"
+            )
+        curve.check(coords.n)
+    return curves
+
+
+def _formula_values(
+    tri: TriangleCoordinates, prof: ComponentProfile, curves: tuple[ElementaryCurve, ...]
+) -> list[int]:
+    """The closed formulas on curves that passed :func:`_checked`, one
+    large-count row per distinct left end.
+
+    Each value is the strand total on the range's two boundary arcs (none
+    left of ``S_0`` or right of the second crosscap) minus twice the large
+    counts of the range (a row holds zero for the counts a range through
+    both crosscaps leaves undefined); ``D`` then corrects the ``C`` count.
+    """
+    n = tri.n
+    arcs = (0, *tri.beta, 0)
+    rows: dict[int, list[tuple[int, int, int, int]]] = {}
+    out = []
+    for curve in curves:
+        first, last = _span(_curve_range(curve, n), n)
+        if first not in rows:
+            rows[first] = _row(prof, first)
+        value = arcs[first] + arcs[last + 1] - 2 * sum(rows[first][last - first])
+        if curve.kind == "D":
+            value = abs(tri.c1 - tri.c2) if value == 0 else value - tri.c1 - tri.c2
+        out.append(value)
+    return out
+
+
+def intersect_elementary(coords: DynnikovCoordinates, curve: ElementaryCurve) -> int:
+    """Geometric intersection number of the multicurve with one elementary
+    curve (see :func:`elementary_values`)."""
+    return elementary_values(coords, (curve,))[0][1]
 
 
 def elementary_values(
@@ -278,19 +269,10 @@ def elementary_values(
     """Intersection numbers with several curves, inverting only once.
 
     Defaults to the full in-scope catalog for the multicurve's ``n``.
+    Multicurves with negative ``c`` entries are rejected (the formulas
+    consume plain crossing counts), as are non-primitive curve kinds (no
+    formula exists for them).
     """
-    if coords.c1 < 0 or coords.c2 < 0:
-        raise NonprimitiveContentError(
-            "multicurve carries whole non-primitive components"
-        )
-    if curves is None:
-        curves = catalog(coords.n)
-    for curve in curves:
-        if curve.nonprimitive:
-            raise UnsupportedCurveError(
-                f"no intersection formula for non-primitive curve {curve.label()}"
-            )
-        curve.check(coords.n)
+    curves = _checked(coords, curves)
     tri = invert(coords)
-    prof = profile(tri)
-    return [(curve, _value_from_triangle(tri, prof, curve)) for curve in curves]
+    return list(zip(curves, _formula_values(tri, profile(tri), curves)))

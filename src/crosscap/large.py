@@ -12,17 +12,28 @@ it clears the range entirely on one side:
 * large left loops anchor on the right arc and turn around in the first
   region of the range.
 
-The counts are min-formulas over single-region counts; the minimum over an
-empty index set is plus infinity, which makes the boundary cases uniform
-(a single region's loops are all large in the range consisting of itself,
-and every count touching ``S_0`` vanishes because ``S_0`` has no above,
-below or right-loop components).
+Number the regions ``0..n+1``: ``S_0..S_{n-1}``, then the first crosscap
+region (``n``) and the second (``n+1``).  For a fixed left end ``l`` every
+count is a function of running minima over regions ``l..m``:
+
+* over/under are the running minima of the above/below counts;
+* right loops are the loops of region ``m`` that the last step of the
+  minimum does not cut off: ``min(max(0, over_{m-1} - A_m),
+  max(0, under_{m-1} - B_m), right loops of region m)``;
+* left loops are the loops of region ``l`` that the minimum over
+  ``l+1..m`` leaves room for: ``min(max(0, min(A_{l+1..m}) - A_l), ...,
+  left loops of region l)``.
+
+``S_0`` counts as a region with no above or below components and its
+nested loops on the left, so every count touching it comes out of the same
+expressions; so does the second crosscap region, which has no above or
+below components and only right loops.  :func:`_row` makes the one pass
+per left end; a range's counts are a lookup into its left end's row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 
 from .components import ComponentProfile
 from .errors import InvalidRangeError
@@ -30,10 +41,6 @@ from .errors import InvalidRangeError
 __all__ = [
     "RegionRange",
     "LargeComponentCounts",
-    "large_over_under",
-    "crosscap_over_under",
-    "large_right",
-    "large_left",
     "counts_for_range",
 ]
 
@@ -74,6 +81,11 @@ class RegionRange:
             raise InvalidRangeError(f"lower index must be <= {n}, got {self.l}")
 
 
+def _span(rng: RegionRange, n: int) -> tuple[int, int]:
+    """First and last region of a range (``n``/``n+1``: the crosscaps)."""
+    return rng.l, rng.m if rng.crosscap == 0 else n - 1 + rng.crosscap
+
+
 @dataclass(frozen=True)
 class LargeComponentCounts:
     """The four large counts of one range (``None`` where undefined).
@@ -88,131 +100,41 @@ class LargeComponentCounts:
     left_loops: int | None
 
 
-def _min_above(p: ComponentProfile, l: int, m: int) -> float:
-    """``min(A_l..A_m)`` with the empty-range and ``S_0`` conventions."""
-    if l == 0:
-        return 0
-    if l > m:
-        return inf
-    return min(p.above[l - 1 : m])
+def _row(p: ComponentProfile, l: int) -> list[tuple[int, int, int, int]]:
+    """``(over, under, right_loops, left_loops)`` of the ranges from ``l``.
 
-
-def _min_below(p: ComponentProfile, l: int, m: int) -> float:
-    if l == 0:
-        return 0
-    if l > m:
-        return inf
-    return min(p.below[l - 1 : m])
-
-
-def _check_puncture_range(p: ComponentProfile, l: int, m: int):
-    if not 0 <= l <= m <= p.n - 1:
-        raise InvalidRangeError(f"need 0 <= l <= m <= {p.n - 1}, got l={l}, m={m}")
-
-
-def large_over_under(p: ComponentProfile, l: int, m: int) -> tuple[int, int]:
-    """Large over/under counts of ``S_{l,m}``; both zero when ``l == 0``."""
-    _check_puncture_range(p, l, m)
-    return int(_min_above(p, l, m)), int(_min_below(p, l, m))
-
-
-def crosscap_over_under(p: ComponentProfile, l: int) -> tuple[int, int]:
-    """Large over/under counts of ``S'_{l,1}``."""
-    if not 0 <= l <= p.n:
-        raise InvalidRangeError(f"need 0 <= l <= {p.n}, got l={l}")
-    over = min(_min_above(p, l, p.n - 1), p.cross1_above)
-    under = min(_min_below(p, l, p.n - 1), p.cross1_below)
-    return int(over), int(under)
-
-
-def _loops_right(p: ComponentProfile, k: int) -> int:
-    """Right loops of puncture region ``S_k`` (``b_k^+``)."""
-    return p.loops[k - 1] if p.sides[k - 1] == "right" else 0
-
-
-def _loops_left(p: ComponentProfile, k: int) -> int:
-    return p.loops[k - 1] if p.sides[k - 1] == "left" else 0
-
-
-def large_right(p: ComponentProfile, rng: RegionRange) -> int:
-    """Large right loop count of the range."""
-    rng.check(p.n)
-    l = rng.l
-    if rng.crosscap == 0:
-        m = rng.m
-        _check_puncture_range(p, l, m)
-        if l == 0:
-            return 0
-        cap = min(
-            _min_above(p, l, m - 1) - _min_above(p, l, m),
-            _min_below(p, l, m - 1) - _min_below(p, l, m),
-            _loops_right(p, m),
-        )
-        return max(0, int(cap))
-    if rng.crosscap == 1:
-        over, under = crosscap_over_under(p, l)
-        cap = min(
-            _min_above(p, l, p.n - 1) - over,
-            _min_below(p, l, p.n - 1) - under,
-            p.right_noncore_loops,
-        )
-        return max(0, int(cap))
-    over, under = crosscap_over_under(p, l)
-    return max(0, min(over, under, p.cross2_noncore_loops))
-
-
-def large_left(p: ComponentProfile, rng: RegionRange) -> int:
-    """Large left loop count of the range (always 0 for ``S'_{l,2}``)."""
-    rng.check(p.n)
-    l = rng.l
-    if rng.crosscap == 0:
-        m = rng.m
-        _check_puncture_range(p, l, m)
-        if l == 0:
-            cap = min(_min_above(p, 1, m), _min_below(p, 1, m), p.s0_loops)
-        else:
-            cap = min(
-                _min_above(p, l + 1, m) - _min_above(p, l, m),
-                _min_below(p, l + 1, m) - _min_below(p, l, m),
-                _loops_left(p, l),
-            )
-        return max(0, int(cap))
-    if rng.crosscap == 1:
-        if l == 0:
-            o1, u1 = crosscap_over_under(p, 1)
-            cap = min(o1, u1, p.s0_loops)
-        elif l == p.n:  # single-region range: its own non-core left loops
-            cap = p.cross1_noncore_loops if p.cross1_side == "left" else 0
-        else:
-            over, under = crosscap_over_under(p, l)
-            o1, u1 = crosscap_over_under(p, l + 1)
-            cap = min(o1 - over, u1 - under, _loops_left(p, l))
-        return max(0, int(cap))
-    return 0
+    Entry ``k`` is the range ending in region ``l + k``: ``S_{l,l+k}`` up
+    to region ``n-1``, then ``S'_{l,1}`` and ``S'_{l,2}``.  The last entry
+    holds zero for the counts ``S'_{l,2}`` leaves undefined.
+    """
+    sides = p.sides + (p.cross1_side,)
+    loops = p.loops + (p.cross1_noncore_loops,)
+    above = (0, *p.above, p.cross1_above, 0)
+    below = (0, *p.below, p.cross1_below, 0)
+    right = (
+        0,
+        *(k if s == "right" else 0 for k, s in zip(loops, sides)),
+        p.cross2_noncore_loops,
+    )
+    left_l = p.s0_loops if l == 0 else loops[l - 1] if sides[l - 1] == "left" else 0
+    a_l, b_l = above[l], below[l]
+    over, under = a_l, b_l
+    tail_a, tail_b = above[l + 1], below[l + 1]
+    row = [(over, under, right[l], left_l)]  # one region: all its loops are large
+    for a, b, r in zip(above[l + 1 :], below[l + 1 :], right[l + 1 :]):
+        right_m = min(max(0, over - a), max(0, under - b), r)
+        over, under = min(over, a), min(under, b)
+        tail_a, tail_b = min(tail_a, a), min(tail_b, b)
+        left_m = min(max(0, tail_a - a_l), max(0, tail_b - b_l), left_l)
+        row.append((over, under, right_m, left_m))
+    return row
 
 
 def counts_for_range(p: ComponentProfile, rng: RegionRange) -> LargeComponentCounts:
-    """All large counts of one range, bundled for inspection."""
+    """All large counts of one range."""
     rng.check(p.n)
-    if rng.crosscap == 0:
-        over, under = large_over_under(p, rng.l, rng.m)
-        return LargeComponentCounts(
-            over=over,
-            under=under,
-            right_loops=large_right(p, rng),
-            left_loops=large_left(p, rng),
-        )
-    if rng.crosscap == 1:
-        over, under = crosscap_over_under(p, rng.l)
-        return LargeComponentCounts(
-            over=over,
-            under=under,
-            right_loops=large_right(p, rng),
-            left_loops=large_left(p, rng),
-        )
-    return LargeComponentCounts(
-        over=None,
-        under=None,
-        right_loops=large_right(p, rng),
-        left_loops=None,
-    )
+    first, last = _span(rng, p.n)
+    over, under, right, left = _row(p, first)[last - first]
+    if rng.crosscap == 2:
+        return LargeComponentCounts(over=None, under=None, right_loops=right, left_loops=None)
+    return LargeComponentCounts(over=over, under=under, right_loops=right, left_loops=left)

@@ -47,9 +47,9 @@ from .components import (
 )
 from .coords import DynnikovCoordinates, format_coords
 from .errors import NonprimitiveContentError, UnsupportedCurveError
-from .intersect import ElementaryCurve, catalog, elementary_values
+from .intersect import ElementaryCurve, _checked, _curve_range, _formula_values
 from .inversion import invert, realizable
-from .large import RegionRange
+from .large import RegionRange, _span
 
 __all__ = [
     "StrandDiagram",
@@ -151,16 +151,6 @@ def build_diagram(prof: ComponentProfile) -> StrandDiagram:
         nonprimitive=prof.nonprimitive,
         gluing=gl,
     )
-
-
-def _band_of_curve(curve: ElementaryCurve, n: int) -> tuple[int, int]:
-    if curve.kind == "Cij":
-        return curve.i - 1, curve.j - 1
-    if curve.kind == "Cprime1":
-        return curve.i - 1, n
-    if curve.kind == "Cprime2":
-        return curve.i - 1, n + 1
-    return n, n + 1  # C (and the band D reduces to)
 
 
 def _trace_band(dg: StrandDiagram, first: int, last: int):
@@ -277,19 +267,16 @@ def count_crossings(dg: StrandDiagram, curve: ElementaryCurve) -> int:
             f"no crossing rule for non-primitive curve {curve.label()}"
         )
     curve.check(dg.n)
-    if curve.kind == "D":
-        if dg.nonprimitive.any():
-            raise NonprimitiveContentError(
-                "diagram carries whole non-primitive components"
-            )
-        with_c = _band_crossings(dg, dg.n, dg.n + 1)
-        passes1 = dg.straight_cores + dg.cross1_core_loops
-        passes2 = dg.cross2_core_loops
-        if with_c == 0:
-            return abs(passes1 - passes2)
-        return with_c - passes1 - passes2
-    first, last = _band_of_curve(curve, dg.n)
-    return _band_crossings(dg, first, last)
+    if curve.kind == "D" and dg.nonprimitive.any():
+        raise NonprimitiveContentError("diagram carries whole non-primitive components")
+    crossings = _band_crossings(dg, *_span(_curve_range(curve, dg.n), dg.n))
+    if curve.kind != "D":
+        return crossings
+    passes1 = dg.straight_cores + dg.cross1_core_loops
+    passes2 = dg.cross2_core_loops
+    if crossings == 0:
+        return abs(passes1 - passes2)
+    return crossings - passes1 - passes2
 
 
 def large_census(dg: StrandDiagram, rng: RegionRange) -> tuple[int, int, int, int]:
@@ -298,12 +285,7 @@ def large_census(dg: StrandDiagram, rng: RegionRange) -> tuple[int, int, int, in
     Returns ``(over, under, right_loops, left_loops)``.
     """
     rng.check(dg.n)
-    if rng.crosscap == 0:
-        first, last = rng.l, rng.m
-    elif rng.crosscap == 1:
-        first, last = rng.l, dg.n
-    else:
-        first, last = rng.l, dg.n + 1
+    first, last = _span(rng, dg.n)
     counts = {"over": 0, "under": 0, "right": 0, "left": 0}
     for start_side, end_side, seq in _trace_band(dg, first, last):
         kind = _classify(start_side, end_side, seq, first, last, dg.n)
@@ -369,9 +351,9 @@ def _decode(n: int, bound: int, cmax: int, idx: int) -> tuple:
     return tuple(a), tuple(b), t, c1, c2
 
 
-def grid_points(n: int, bound: int, cmax: int) -> Iterator[DynnikovCoordinates]:
-    """All realizable nonzero vectors in the box, in grid order."""
-    for idx in range(grid_size(n, bound, cmax)):
+def _points(n: int, bound: int, cmax: int, indices: range) -> Iterator[DynnikovCoordinates]:
+    """The realizable nonzero vectors among the grid ``indices``."""
+    for idx in indices:
         a, b, t, c1, c2 = _decode(n, bound, cmax, idx)
         if not (any(a) or any(b) or t or c1 or c2):
             continue
@@ -380,56 +362,39 @@ def grid_points(n: int, bound: int, cmax: int) -> Iterator[DynnikovCoordinates]:
             yield coords
 
 
+def grid_points(n: int, bound: int, cmax: int) -> Iterator[DynnikovCoordinates]:
+    """All realizable nonzero vectors in the box, in grid order."""
+    return _points(n, bound, cmax, range(grid_size(n, bound, cmax)))
+
+
 def compare_point(coords: DynnikovCoordinates) -> list[Divergence]:
-    """Formula-vs-oracle comparison over the full catalog at one point."""
+    """Formula-vs-oracle comparison at one point over the full catalog."""
+    curves = _checked(coords, None)
     tri = invert(coords)
-    dg = build_diagram(profile(tri))
-    out = []
-    for curve, fval in elementary_values(coords):
-        tval = count_crossings(dg, curve)
-        if tval != fval:
-            out.append(
-                Divergence(
-                    coords=format_coords(coords),
-                    curve=curve.spec(),
-                    formula=fval,
-                    traced=tval,
-                    triangle=tri.to_dict(),
-                    profile=profile(tri).to_dict(),
-                )
-            )
-    return out
+    prof = profile(tri)
+    dg = build_diagram(prof)
+    return [
+        Divergence(
+            coords=format_coords(coords),
+            curve=curve.spec(),
+            formula=fval,
+            traced=tval,
+            triangle=tri.to_dict(),
+            profile=prof.to_dict(),
+        )
+        for curve, fval in zip(curves, _formula_values(tri, prof, curves))
+        if (tval := count_crossings(dg, curve)) != fval
+    ]
 
 
-def _sweep_chunk(args: tuple) -> tuple[int, int, list[Divergence]]:
+def _sweep_chunk(args: tuple) -> tuple[int, list[Divergence]]:
     n, bound, cmax, start, stop, max_div = args
     checked = 0
     divergences: list[Divergence] = []
-    curves = catalog(n)
-    for idx in range(start, stop):
-        a, b, t, c1, c2 = _decode(n, bound, cmax, idx)
-        if not (any(a) or any(b) or t or c1 or c2):
-            continue
-        coords = DynnikovCoordinates(n=n, a=a, b=b, t=t, c1=c1, c2=c2)
-        if not realizable(coords):
-            continue
+    for coords in _points(n, bound, cmax, range(start, stop)):
         checked += 1
-        tri = invert(coords)
-        dg = build_diagram(profile(tri))
-        for curve, fval in elementary_values(coords, curves):
-            tval = count_crossings(dg, curve)
-            if tval != fval and len(divergences) < max_div:
-                divergences.append(
-                    Divergence(
-                        coords=format_coords(coords),
-                        curve=curve.spec(),
-                        formula=fval,
-                        traced=tval,
-                        triangle=tri.to_dict(),
-                        profile=profile(tri).to_dict(),
-                    )
-                )
-    return checked, stop - start, divergences
+        divergences += compare_point(coords)[: max_div - len(divergences)]
+    return checked, divergences
 
 
 def run_selftest(
@@ -450,7 +415,7 @@ def run_selftest(
     report = SelftestReport(n=n, bound=bound, cmax=cmax, points_total=total)
     t0 = time.perf_counter()
     if jobs <= 1:
-        checked, _, divs = _sweep_chunk((n, bound, cmax, 0, total, max_divergences))
+        checked, divs = _sweep_chunk((n, bound, cmax, 0, total, max_divergences))
         report.points_checked = checked
         report.divergences = divs
     else:
@@ -460,7 +425,7 @@ def run_selftest(
             for lo in range(0, total, step)
         ]
         with Pool(jobs) as pool:
-            for checked, _, divs in pool.imap(_sweep_chunk, chunks):
+            for checked, divs in pool.imap(_sweep_chunk, chunks):
                 report.points_checked += checked
                 report.divergences.extend(divs)
     report.divergences = report.divergences[:max_divergences]

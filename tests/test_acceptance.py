@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from crosscap.components import _paper_literal_crosscap_above_below, profile
+from crosscap.components import profile
 from crosscap.coords import DynnikovCoordinates, TriangleCoordinates, parse_coords
 from crosscap.errors import UnrealizableCoordinatesError
 from crosscap.intersect import (
@@ -24,6 +24,7 @@ from crosscap.intersect import (
 )
 from crosscap.inversion import coordinatize, invert, realizable
 from crosscap.oracle import run_selftest
+from paper_forms import _paper_literal_crosscap_above_below
 
 BOUND = 3
 CMAX = 3

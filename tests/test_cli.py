@@ -101,6 +101,30 @@ class TestErrors:
         code, _, _ = run(capsys, "invert", "(1; 1,0; 0; 0,0)", "--bogus")
         assert code == 1
 
+    def test_json_file_missing_key_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"n": 2, "a": [1], "t": 0, "c": [0, 0]}))
+        code, _, err = run(capsys, "invert", "--file", str(path), "--json")
+        assert code == 1
+        assert err.startswith("crosscap: error:") and "missing key" in err
+
+    def test_malformed_json_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text('{"n": 2, "a": [1], "b": [1, 0],')
+        code, _, err = run(capsys, "invert", "--file", str(path), "--json")
+        assert code == 1
+        assert err.startswith("crosscap: error:") and "not valid JSON" in err
+
+    def test_bad_curve_spec_exits_one(self, capsys):
+        code, _, err = run(capsys, "intersect", "(-1; 1,0; 1; 1,1)", "--curve", "Cij:x,2")
+        assert code == 1
+        assert err.startswith("crosscap: error:") and "Cij:x,2" in err
+
+    def test_large_range_outside_surface_exits_one(self, capsys):
+        code, out, err = run(capsys, "profile", "(2; 1,0; -2; 2,0)", "--large", "5", "1")
+        assert code == 1 and out == ""
+        assert err.startswith("crosscap: error:") and "--large 5 1" in err
+
 
 class TestProfileAndRender:
     def test_profile_json_with_large(self, capsys):

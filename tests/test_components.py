@@ -14,14 +14,13 @@ from crosscap.components import (
     STRAIGHT_CORE,
     ComponentProfile,
     NonprimitiveCurves,
-    _paper_literal_crosscap_above_below,
-    half_differences,
     profile,
     reconstruct,
 )
 from crosscap.coords import DynnikovCoordinates, TriangleCoordinates, parse_coords
 from crosscap.errors import ParityViolationError
 from crosscap.inversion import invert, realizable
+from paper_forms import _paper_literal_crosscap_above_below
 
 EX1 = TriangleCoordinates(n=2, alpha=(1, 5), beta=(6, 4, 4), gamma=4, c1=2, c2=0)
 EX2 = TriangleCoordinates(n=2, alpha=(3, 1), beta=(4, 2, 2), gamma=4, c1=1, c2=1)
@@ -29,17 +28,19 @@ EX2 = TriangleCoordinates(n=2, alpha=(3, 1), beta=(4, 2, 2), gamma=4, c1=1, c2=1
 
 class TestHalfDifferences:
     def test_worked_example(self):
-        assert half_differences(EX1) == (1, 0)
+        assert EX1.half_differences() == (1, 0)
 
     def test_final_example(self):
-        assert half_differences(EX2) == (1, 0)
+        assert EX2.half_differences() == (1, 0)
 
     def test_zero(self):
-        assert half_differences((0, 0, 0)) == (0, 0)
+        zero = TriangleCoordinates(n=2, alpha=(0, 0), beta=(0, 0, 0), gamma=0, c1=0, c2=0)
+        assert zero.half_differences() == (0, 0)
 
     def test_odd_difference_raises(self):
+        # an odd difference needs an odd beta, which construction rejects
         with pytest.raises(ParityViolationError):
-            half_differences((3, 2, 2))
+            TriangleCoordinates(n=2, alpha=(1, 1), beta=(3, 2, 2), gamma=2, c1=0, c2=0)
 
 
 class TestProfile:

@@ -11,7 +11,6 @@ from crosscap.coords import (
     format_triangle,
     parse_coords,
     parse_triangle,
-    validate,
 )
 from crosscap.errors import (
     CoordinateSyntaxError,
@@ -29,7 +28,6 @@ def vec(n, a, b, t, c1, c2):
 class TestDynnikovCoordinates:
     def test_final_example_vector_is_valid(self):
         v = vec(2, [-1], [1, 0], 1, 1, 1)
-        assert validate(v) is v
         assert v.entries() == (-1, 1, 0, 1, 1, 1)
 
     def test_zero_vector_rejected(self):
@@ -44,7 +42,7 @@ class TestDynnikovCoordinates:
 
     def test_negative_c_entries_are_legal(self):
         v = vec(2, [0], [0, 0], 0, -1, -4)
-        assert validate(v) is v
+        assert (v.c1, v.c2) == (-1, -4)
 
     def test_n_below_two_rejected(self):
         with pytest.raises(DimensionMismatchError):
@@ -56,6 +54,28 @@ class TestDynnikovCoordinates:
     def test_non_integer_entries_rejected(self):
         with pytest.raises(DimensionMismatchError):
             DynnikovCoordinates(n=2, a=(0.5,), b=(1, 0), t=0, c1=0, c2=0)
+
+    @pytest.mark.parametrize(
+        "field, value", [("t", True), ("c1", 2.0), ("c2", "1"), ("n", 2.0), ("b", 5)]
+    )
+    def test_non_integer_scalars_rejected(self, field, value):
+        fields = dict(n=2, a=(1,), b=(1, 0), t=0, c1=0, c2=0)
+        fields[field] = value
+        with pytest.raises(DimensionMismatchError, match=field):
+            DynnikovCoordinates(**fields)
+
+    def test_from_dict_rejects_instead_of_truncating(self):
+        data = {"n": 2, "a": [2], "b": [1, 0], "t": 2.7, "c": [2, 0]}
+        with pytest.raises(DimensionMismatchError, match="t must be an integer"):
+            DynnikovCoordinates.from_dict(data)
+        with pytest.raises(DimensionMismatchError, match="c1"):
+            DynnikovCoordinates.from_dict({**data, "t": 2, "c": [2.0, 0]})
+
+    def test_from_dict_reports_missing_keys(self):
+        with pytest.raises(DimensionMismatchError, match="missing key.*b"):
+            DynnikovCoordinates.from_dict({"n": 2, "a": [1], "t": 0})
+        with pytest.raises(DimensionMismatchError, match="JSON object"):
+            DynnikovCoordinates.from_dict([2, [1], [1, 0], 0])
 
 
 class TestTextFormat:
@@ -149,3 +169,14 @@ class TestTriangleCoordinates:
     def test_json_round_trip(self):
         tri = TriangleCoordinates(n=2, alpha=(1, 5), beta=(6, 4, 4), gamma=4, c1=2, c2=0)
         assert TriangleCoordinates.from_dict(tri.to_dict()) == tri
+
+    def test_from_dict_rejects_instead_of_truncating(self):
+        data = {"n": 2, "alpha": [1, 5], "beta": [6, 4, 4], "gamma": 4.5, "c": [2, 0]}
+        with pytest.raises(DimensionMismatchError, match="gamma must be an integer"):
+            TriangleCoordinates.from_dict(data)
+        with pytest.raises(DimensionMismatchError, match="missing key.*gamma"):
+            TriangleCoordinates.from_dict({k: v for k, v in data.items() if k != "gamma"})
+
+    def test_non_integer_scalars_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="c2"):
+            TriangleCoordinates(n=2, alpha=(1, 5), beta=(6, 4, 4), gamma=4, c1=2, c2=0.0)

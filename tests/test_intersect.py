@@ -1,6 +1,7 @@
 """Elementary curve catalog and intersection-number formulas."""
 
 import itertools
+import random
 
 import pytest
 
@@ -96,6 +97,13 @@ class TestFinalExampleValues:
         for curve, value in elementary_values(FINAL):
             assert intersect_elementary(FINAL, curve) == value
 
+    def test_shuffled_subset_keeps_request_order(self):
+        rnd = random.Random(3)
+        for v in (FINAL, parse_coords("(3,-2,0,5,1,-4,2; 1,-3,2,0,4,-1,2,-2; 2; 2,3)")):
+            full = dict(elementary_values(v))
+            subset = rnd.sample(catalog(v.n), len(full) // 2)
+            assert elementary_values(v, tuple(subset)) == [(c, full[c]) for c in subset]
+
 
 class TestDerivedValues:
     def test_self_intersection_of_c_is_zero(self):
@@ -144,6 +152,12 @@ class TestErrors:
             intersect_elementary(v, ElementaryCurve.C())
         with pytest.raises(NonprimitiveContentError):
             elementary_values(v)
+
+    def test_content_error_comes_before_curve_error(self):
+        # bad in two ways: the multicurve is checked before the curves
+        v = DynnikovCoordinates(n=2, a=(0,), b=(0, 0), t=0, c1=-1, c2=0)
+        with pytest.raises(NonprimitiveContentError):
+            intersect_elementary(v, ElementaryCurve.core(1))
 
     def test_curve_out_of_range_for_n(self):
         with pytest.raises(InvalidParameterError):

@@ -1,6 +1,8 @@
 """Large component counts over region ranges."""
 
 import itertools
+import random
+from math import inf
 
 import pytest
 
@@ -8,15 +10,69 @@ from crosscap.components import profile
 from crosscap.coords import DynnikovCoordinates, TriangleCoordinates
 from crosscap.errors import InvalidRangeError
 from crosscap.inversion import invert, realizable
-from crosscap.large import (
-    RegionRange,
-    counts_for_range,
-    crosscap_over_under,
-    large_left,
-    large_over_under,
-    large_right,
-)
+from crosscap.large import RegionRange, _row, counts_for_range
 from crosscap.oracle import build_diagram, large_census
+
+
+def over_under(p, rng):
+    c = counts_for_range(p, rng)
+    return c.over, c.under
+
+
+def right_loops(p, rng):
+    return counts_for_range(p, rng).right_loops
+
+
+def left_loops(p, rng):
+    return counts_for_range(p, rng).left_loops
+
+
+def all_ranges(n):
+    """Every region range on the surface with ``n`` punctures."""
+    return (
+        [RegionRange.punctures(l, m) for l in range(n) for m in range(l, n)]
+        + [RegionRange.through_first(l) for l in range(n + 1)]
+        + [RegionRange.through_second(l) for l in range(n + 1)]
+    )
+
+
+def fresh_min_counts(p, rng):
+    """Each count as a fresh min over a slice of the single-region counts:
+    the definition the one-pass rows must reproduce."""
+    n, l = p.n, rng.l
+    m = rng.m if rng.crosscap == 0 else n
+    above, below = (*p.above, p.cross1_above), (*p.below, p.cross1_below)
+    loops, sides = (*p.loops, p.cross1_noncore_loops), (*p.sides, p.cross1_side)
+
+    def low(seq, i, j):  # min over regions i..j; S_0 has no above/below
+        return 0 if i == 0 else min(seq[i - 1 : j], default=inf)
+
+    over, under = low(above, l, m), low(below, l, m)
+    if rng.crosscap == 2:
+        return None, None, min(over, under, p.cross2_noncore_loops), None
+    loops_m = loops[m - 1] if m and sides[m - 1] == "right" else 0
+    loops_l = p.s0_loops if l == 0 else loops[l - 1] if sides[l - 1] == "left" else 0
+    right = min(low(above, l, m - 1) - over, low(below, l, m - 1) - under, loops_m)
+    left = min(low(above, l + 1, m) - over, low(below, l + 1, m) - under, loops_l)
+    return over, under, right, left
+
+
+def random_profile(rnd, n, magnitude):
+    """A seeded realizable profile; small entries now and then force ties."""
+
+    def entry():
+        return rnd.randint(-2, 2) if rnd.random() < 0.3 else rnd.randint(-magnitude, magnitude)
+
+    a = tuple(entry() for _ in range(n - 1))
+    b = tuple(entry() for _ in range(n))
+    t, c1, c2 = entry(), abs(entry()), abs(entry())
+    if not any(a + b + (t, c1, c2)):
+        c1 = 1
+    v = DynnikovCoordinates(n=n, a=a, b=b, t=t, c1=c1, c2=c2)
+    if not realizable(v):
+        v = DynnikovCoordinates(n=n, a=a, b=b, t=t + 1, c1=c1, c2=c2)
+    return profile(invert(v))
+
 
 EX1 = profile(TriangleCoordinates(n=2, alpha=(1, 5), beta=(6, 4, 4), gamma=4, c1=2, c2=0))
 EX2 = profile(TriangleCoordinates(n=2, alpha=(3, 1), beta=(4, 2, 2), gamma=4, c1=1, c2=1))
@@ -24,22 +80,22 @@ EX2 = profile(TriangleCoordinates(n=2, alpha=(3, 1), beta=(4, 2, 2), gamma=4, c1
 
 class TestOverUnder:
     def test_worked_example_crosscap_range(self):
-        assert crosscap_over_under(EX1, 1) == (0, 2)
+        assert over_under(EX1, RegionRange.through_first(1)) == (0, 2)
 
     def test_final_example_crosscap_range(self):
         # min(A_1, A') = min(2, 1) = 1, min(B_1, B') = min(0, 0) = 0
-        assert crosscap_over_under(EX2, 1) == (1, 0)
+        assert over_under(EX2, RegionRange.through_first(1)) == (1, 0)
 
     def test_left_index_zero_is_empty(self):
-        assert large_over_under(EX1, 0, 1) == (0, 0)
-        assert crosscap_over_under(EX2, 0) == (0, 0)
+        assert over_under(EX1, RegionRange.punctures(0, 1)) == (0, 0)
+        assert over_under(EX2, RegionRange.through_first(0)) == (0, 0)
 
     def test_single_region(self):
-        assert large_over_under(EX2, 1, 1) == (2, 0)
+        assert over_under(EX2, RegionRange.punctures(1, 1)) == (2, 0)
 
     def test_range_errors(self):
         with pytest.raises(InvalidRangeError):
-            large_over_under(EX1, 1, 5)
+            counts_for_range(EX1, RegionRange.punctures(1, 5))
         with pytest.raises(InvalidRangeError):
             RegionRange.punctures(2, 1)
         with pytest.raises(InvalidRangeError):
@@ -48,36 +104,38 @@ class TestOverUnder:
 
 class TestRightLoops:
     def test_final_example_both_crosscap_ranges(self):
-        assert large_right(EX2, RegionRange.through_second(1)) == 0
-        assert large_right(EX2, RegionRange.through_second(2)) == 0
+        assert right_loops(EX2, RegionRange.through_second(1)) == 0
+        assert right_loops(EX2, RegionRange.through_second(2)) == 0
 
     def test_s0_has_no_right_loops(self):
-        assert large_right(EX1, RegionRange.punctures(0, 1)) == 0
-        assert large_right(EX2, RegionRange.through_second(0)) == 0
+        assert right_loops(EX1, RegionRange.punctures(0, 1)) == 0
+        assert right_loops(EX2, RegionRange.through_second(0)) == 0
 
     def test_single_region_right_loops_are_large(self):
         # empty minimum on the left leaves only the loop-count cap
-        assert large_right(EX1, RegionRange.punctures(1, 1)) == 1
+        assert right_loops(EX1, RegionRange.punctures(1, 1)) == 1
 
     def test_noncore_cap_at_first_crosscap(self):
         # EX1 has straight cores, hence no right non-core loops at all
-        assert large_right(EX1, RegionRange.through_first(1)) == 0
+        assert right_loops(EX1, RegionRange.through_first(1)) == 0
 
 
 class TestLeftLoops:
     def test_worked_example_boundary_form(self):
         # min(A_1, B_1, beta_1/2) = min(0, 4, 3)
-        assert large_left(EX1, RegionRange.punctures(0, 1)) == 0
+        assert left_loops(EX1, RegionRange.punctures(0, 1)) == 0
 
     def test_positive_b_blocks_left_loops(self):
-        assert large_left(EX2, RegionRange.through_first(1)) == 0
+        assert left_loops(EX2, RegionRange.through_first(1)) == 0
 
     def test_no_left_loops_in_second_crosscap_range(self):
-        assert large_left(EX2, RegionRange.through_second(1)) == 0
+        # undefined in the bundle; the row entry the formulas sum holds zero
+        assert left_loops(EX2, RegionRange.through_second(1)) is None
+        assert _row(EX2, 1)[-1][3] == 0
 
     def test_single_region_left_loops_are_large(self):
         p = profile(invert(DynnikovCoordinates(n=2, a=(0,), b=(-2, 0), t=0, c1=0, c2=0)))
-        assert large_left(p, RegionRange.punctures(1, 1)) == 2
+        assert left_loops(p, RegionRange.punctures(1, 1)) == 2
 
 
 class TestBundle:
@@ -108,22 +166,27 @@ def _grid(n, bound):
             yield v
 
 
+class TestRowsAgainstFreshMinima:
+    @pytest.mark.parametrize("n, cases", [(2, 300), (5, 200), (12, 40), (64, 3)])
+    def test_every_range_of_every_left_end(self, n, cases):
+        rnd = random.Random(n)
+        for _ in range(cases):
+            p = random_profile(rnd, n, 10**9)
+            for rng in all_ranges(n):
+                c = counts_for_range(p, rng)
+                got = (c.over, c.under, c.right_loops, c.left_loops)
+                assert got == fresh_min_counts(p, rng), (p, rng)
+
+
 class TestAgainstTracing:
     def test_census_equivalence_small_grid(self):
-        # every min-formula equals the strand-traced census, all ranges
-        for v in _grid(2, 2):
+        # every large count equals the strand-traced census, all ranges:
+        # the whole n=2 grid and a strided n=3 grid
+        points = itertools.chain(_grid(2, 2), itertools.islice(_grid(3, 2), 0, None, 29))
+        for v in points:
             p = profile(invert(v))
             dg = build_diagram(p)
-            for rng in (
-                RegionRange.punctures(0, 1),
-                RegionRange.punctures(1, 1),
-                RegionRange.through_first(0),
-                RegionRange.through_first(1),
-                RegionRange.through_first(2),
-                RegionRange.through_second(0),
-                RegionRange.through_second(1),
-                RegionRange.through_second(2),
-            ):
+            for rng in all_ranges(v.n):
                 over, under, right, left = large_census(dg, rng)
                 bundle = counts_for_range(p, rng)
                 if bundle.over is not None:
@@ -134,10 +197,10 @@ class TestAgainstTracing:
     def test_monotone_shrinkage(self):
         for v in itertools.islice(_grid(3, 2), 0, 20000, 37):
             p = profile(invert(v))
-            a11, b11 = large_over_under(p, 1, 1)
-            a12, b12 = large_over_under(p, 1, 2)
+            a11, b11 = over_under(p, RegionRange.punctures(1, 1))
+            a12, b12 = over_under(p, RegionRange.punctures(1, 2))
             assert a12 <= a11 and b12 <= b11
-            over, under = crosscap_over_under(p, 1)
+            over, under = over_under(p, RegionRange.through_first(1))
             assert over <= a12 and under <= b12
 
     def test_loop_caps(self):
@@ -145,7 +208,7 @@ class TestAgainstTracing:
             p = profile(invert(v))
             b = invert(v).half_differences()
             for l, m in ((1, 1), (1, 2), (2, 2)):
-                r = large_right(p, RegionRange.punctures(l, m))
+                r = right_loops(p, RegionRange.punctures(l, m))
                 assert 0 <= r <= max(b[m - 1], 0)
-                lf = large_left(p, RegionRange.punctures(l, m))
+                lf = left_loops(p, RegionRange.punctures(l, m))
                 assert 0 <= lf <= max(-b[l - 1], 0)

@@ -107,6 +107,10 @@ class TestGrid:
         assert compare_point(parse_coords("(2; 1,0; -2; 2,0)")) == []
         assert compare_point(parse_coords("(-1; 1,0; 1; 1,1)")) == []
 
+    def test_compare_point_rejects_nonprimitive_content(self):
+        with pytest.raises(NonprimitiveContentError):
+            compare_point(parse_coords("(0; 0,0; 0; -1,0)"))
+
     def test_selftest_default_bounds_clean(self):
         report = run_selftest(n=2, bound=1, jobs=1)
         assert report.ok
