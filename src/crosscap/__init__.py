@@ -17,7 +17,6 @@ The public surface:
 from .components import ComponentProfile, GluingDescription, profile, reconstruct
 from .coords import (
     DynnikovCoordinates,
-    SurfaceSpec,
     TriangleCoordinates,
     format_coords,
     format_triangle,
@@ -33,7 +32,7 @@ from .intersect import (
 )
 from .inversion import InversionIntermediates, coordinatize, intermediates, invert, realizable
 from .large import LargeComponentCounts, RegionRange, counts_for_range
-from .oracle import StrandDiagram, build_diagram, count_crossings, large_census, run_selftest
+from .oracle import build_diagram, count_crossings, large_census, run_selftest
 
 __version__ = "0.1.0"
 
@@ -45,8 +44,6 @@ __all__ = [
     "InversionIntermediates",
     "LargeComponentCounts",
     "RegionRange",
-    "StrandDiagram",
-    "SurfaceSpec",
     "TriangleCoordinates",
     "build_diagram",
     "catalog",

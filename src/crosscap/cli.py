@@ -30,6 +30,7 @@ from .errors import (
     CoordinateSyntaxError,
     CrosscapError,
     DimensionMismatchError,
+    InvalidParameterError,
     InvalidRangeError,
 )
 from .intersect import catalog, elementary_values, parse_curve
@@ -65,12 +66,16 @@ def _add_coords_input(sub: argparse.ArgumentParser, triangle: bool = False):
 def _read_input(args, cls, parse):
     """The coordinates of ``cls`` from ``--file`` JSON or the positional text."""
     if args.file:
-        with open(args.file) as fh:
+        with open(args.file, encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise CoordinateSyntaxError(
                     f"{args.file} is not valid JSON: {exc.msg}", exc.pos
+                ) from None
+            except UnicodeDecodeError as exc:
+                raise CoordinateSyntaxError(
+                    f"{args.file} is not UTF-8 text: {exc.reason}", exc.start
                 ) from None
         value = cls.from_dict(data)
     elif args.coords is not None:
@@ -143,18 +148,19 @@ def _cmd_profile(args) -> int:
         )
     if args.large:
         l, m = args.large
-        data["large"] = {}
-        ranges = []
-        if l <= m <= prof.n - 1:
-            ranges.append((f"S_({l},{m})", RegionRange.punctures(l, m)))
-        if l <= prof.n:
-            ranges.append((f"S'_({l},1)", RegionRange.through_first(l)))
-            ranges.append((f"S'_({l},2)", RegionRange.through_second(l)))
-        if not ranges:
+        if m > prof.n - 1 or l > prof.n:
             raise InvalidRangeError(
-                f"--large {l} {m} names no range: need L <= M <= {prof.n - 1} "
-                f"or L <= {prof.n}"
+                f"--large {l} {m} names no range: need M <= {prof.n - 1} "
+                f"and L <= {prof.n}"
             )
+        data["large"] = {}
+        # L > M asks for the two S'_(L,k) ranges alone (the only way to reach L = n)
+        ranges = [
+            (f"S'_({l},1)", RegionRange.through_first(l)),
+            (f"S'_({l},2)", RegionRange.through_second(l)),
+        ]
+        if l <= m:
+            ranges.insert(0, (f"S_({l},{m})", RegionRange.punctures(l, m)))
         for name, rng in ranges:
             counts = counts_for_range(prof, rng)
             data["large"][name] = {
@@ -202,7 +208,10 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    jobs = args.jobs or min(os.cpu_count() or 1, 8)
+    if args.jobs < 0:
+        raise InvalidParameterError(f"--jobs must be >= 0, got {args.jobs}")
+    cpus = os.cpu_count() or 1
+    jobs = min(args.jobs, cpus) if args.jobs else min(cpus, 8)
     report = run_selftest(n=args.n, bound=args.bound, cmax=args.cmax, jobs=jobs)
     summary = {
         "n": report.n,
@@ -294,7 +303,9 @@ def main(argv=None) -> int:
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--bound", type=int, default=2)
     p.add_argument("--cmax", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=0, help="worker processes (0 = auto)")
+    p.add_argument(
+        "--jobs", type=int, default=0, help="worker processes (0 = auto, at most the CPUs)"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_selftest)
 

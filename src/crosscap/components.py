@@ -247,10 +247,10 @@ class Link:
     ``slots`` holds ``(arc, slot)`` pairs, 0-based, slots counted from the
     top of the arc; pass-through components have one slot on each
     neighbouring arc, loops two slots on their anchor arc, and whole
-    non-primitive curves none.
+    non-primitive curves none.  A link's id is its position in
+    :attr:`GluingDescription.links`.
     """
 
-    index: int
     region: int
     species: str
     slots: tuple[tuple[int, int], ...]
@@ -271,18 +271,54 @@ class GluingDescription:
     left_links: tuple[tuple[int, ...], ...]
     right_links: tuple[tuple[int, ...], ...]
 
+    def _step(self, lid: int, pos: tuple[int, int]) -> tuple[int, tuple[int, int]]:
+        """Follow a strand that enters link ``lid`` at the ``(arc, slot)``
+        pair ``pos``: leave by the link's other slot and cross that arc.
+
+        Returns the link across the arc and the ``(arc, slot)`` crossed.
+        """
+        lk = self.links[lid]
+        s1, s2 = lk.slots
+        pos = s2 if pos == s1 else s1
+        arc, slot = pos
+        across = self.right_links if lk.region == arc else self.left_links
+        return across[arc][slot], pos
+
+    def closed_components(self) -> list[list[int]]:
+        """Each multicurve component as the cycle of link ids it runs through.
+
+        Whole non-primitive curves appear as singleton cycles.
+        """
+        seen: set[int] = set()
+        out: list[list[int]] = []
+        for start, lk in enumerate(self.links):
+            if start in seen:
+                continue
+            cycle = [start]
+            seen.add(start)
+            if lk.slots:
+                lid, pos = start, lk.slots[0]
+                while True:
+                    lid, pos = self._step(lid, pos)
+                    if lid == start:
+                        break
+                    cycle.append(lid)
+                    seen.add(lid)
+            out.append(cycle)
+        return out
+
     def to_dict(self) -> dict:
         return {
             "n": self.n,
             "arc_strands": list(self.arc_sizes),
             "links": [
                 {
-                    "id": lk.index,
+                    "id": lid,
                     "region": lk.region,
                     "species": lk.species,
                     "slots": [list(s) for s in lk.slots],
                 }
-                for lk in self.links
+                for lid, lk in enumerate(self.links)
             ],
         }
 
@@ -314,7 +350,7 @@ def reconstruct(prof: ComponentProfile) -> GluingDescription:
 
     def add(region: int, species: str, slots: tuple[tuple[int, int], ...]):
         idx = len(links)
-        links.append(Link(index=idx, region=region, species=species, slots=slots))
+        links.append(Link(region=region, species=species, slots=slots))
         for arc, slot in slots:
             tbl = left_tbl if region == arc else right_tbl
             if not 0 <= slot < sizes[arc] or tbl[arc][slot] != -1:

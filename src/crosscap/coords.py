@@ -39,7 +39,6 @@ from .errors import (
 )
 
 __all__ = [
-    "SurfaceSpec",
     "DynnikovCoordinates",
     "TriangleCoordinates",
     "parse_coords",
@@ -47,20 +46,6 @@ __all__ = [
     "parse_triangle",
     "format_triangle",
 ]
-
-
-@dataclass(frozen=True)
-class SurfaceSpec:
-    """The surface: genus 2, one boundary circle, ``n`` punctures.
-
-    Genus and boundary count are fixed; only the puncture count varies.
-    """
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise DimensionMismatchError(f"puncture count must be >= 2, got {self.n}")
 
 
 def _require_int(value, what: str):
@@ -238,9 +223,6 @@ class TriangleCoordinates:
         return tuple(
             (self.beta[i] - self.beta[i + 1]) // 2 for i in range(self.n)
         )
-
-    def is_zero(self) -> bool:
-        return not (any(self.alpha) or any(self.beta) or self.gamma or self.c1 or self.c2)
 
     def to_dict(self) -> dict:
         return {

@@ -49,7 +49,8 @@ class InvalidRangeError(CrosscapError):
 
 
 class InvalidParameterError(CrosscapError):
-    """Elementary-curve parameters out of range for the surface."""
+    """Parameters out of range: elementary-curve indices for the surface,
+    or a selftest grid with nothing to check."""
 
 
 class UnsupportedCurveError(CrosscapError):

@@ -16,8 +16,8 @@ one side:
 
 Every other chain crosses the curve exactly twice.  Crossings with the
 curve threading both crosscaps follow from the traced crossing count with
-the both-crosscaps disk and the traced core passage counts, by the same
-case split the closed formula uses.
+the both-crosscaps disk and the core passages counted over the glued
+links, by the same case split the closed formula uses.
 
 Nothing here looks at the range min-formulas, so agreement between the two
 paths genuinely cross-checks them; :func:`run_selftest` sweeps a grid of
@@ -27,6 +27,7 @@ coordinate vectors and compares every in-scope elementary curve.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from typing import Iterator
@@ -34,6 +35,8 @@ from typing import Iterator
 from .components import (
     ABOVE,
     BELOW,
+    BOUNDING_CURVE,
+    CORE_CURVE,
     CORE_LOOP,
     LOOP_LEFT,
     LOOP_RIGHT,
@@ -41,18 +44,17 @@ from .components import (
     STRAIGHT_CORE,
     ComponentProfile,
     GluingDescription,
-    NonprimitiveCurves,
+    Link,
     profile,
     reconstruct,
 )
 from .coords import DynnikovCoordinates, format_coords
-from .errors import NonprimitiveContentError, UnsupportedCurveError
+from .errors import InvalidParameterError, NonprimitiveContentError, UnsupportedCurveError
 from .intersect import ElementaryCurve, _checked, _curve_range, _formula_values
 from .inversion import invert, realizable
 from .large import RegionRange, _span
 
 __all__ = [
-    "StrandDiagram",
     "build_diagram",
     "count_crossings",
     "large_census",
@@ -64,143 +66,50 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StrandDiagram:
-    """A glued minimal representative, indexed for fast strand walking.
-
-    ``left_links[arc][slot]`` / ``right_links[arc][slot]`` name the
-    component occupying the slot from either side of the arc; parallel
-    tuples ``link_region`` / ``link_species`` / ``link_slots`` describe the
-    components.  Core passage counts are cached for the two-crosscap curve.
-    """
-
-    n: int
-    arc_sizes: tuple[int, ...]
-    left_links: tuple[tuple[int, ...], ...]
-    right_links: tuple[tuple[int, ...], ...]
-    link_region: tuple[int, ...]
-    link_species: tuple[str, ...]
-    link_slots: tuple[tuple[tuple[int, int], ...], ...]
-    straight_cores: int
-    cross1_core_loops: int
-    cross2_core_loops: int
-    nonprimitive: NonprimitiveCurves
-    gluing: GluingDescription
-
-    def closed_components(self) -> list[list[int]]:
-        """Each multicurve component as the cycle of links it runs through.
-
-        Whole non-primitive curves appear as singleton cycles.
-        """
-        seen: set[int] = set()
-        out: list[list[int]] = []
-        for start in range(len(self.link_species)):
-            if start in seen:
-                continue
-            slots = self.link_slots[start]
-            if not slots:
-                seen.add(start)
-                out.append([start])
-                continue
-            cycle: list[int] = []
-            lid, entry = start, slots[0]
-            while True:
-                cycle.append(lid)
-                seen.add(lid)
-                s1, s2 = self.link_slots[lid]
-                exit_slot = s2 if entry == s1 else s1
-                arc, slot = exit_slot
-                nxt_region_left = self.link_region[lid] != arc  # we sat right of arc
-                lid = (
-                    self.left_links[arc][slot]
-                    if nxt_region_left
-                    else self.right_links[arc][slot]
-                )
-                entry = exit_slot
-                if lid == start and entry == self.link_slots[start][0]:
-                    break
-            out.append(cycle)
-        return out
-
-
-def build_diagram(prof: ComponentProfile) -> StrandDiagram:
+def build_diagram(prof: ComponentProfile) -> GluingDescription:
     """Assemble the crossing-free diagram of the profile.
 
-    The core passage counts are censused from the assembled links, not
-    copied from the profile, so they reflect what was actually glued.
+    This is :func:`crosscap.components.reconstruct`; the oracle traces the
+    gluing as it is and censuses everything it needs from the assembled
+    links, never from the profile's counts.
     """
-    gl = reconstruct(prof)
-    regions = tuple(lk.region for lk in gl.links)
-    species = tuple(lk.species for lk in gl.links)
-    n = prof.n
-    return StrandDiagram(
-        n=n,
-        arc_sizes=gl.arc_sizes,
-        left_links=gl.left_links,
-        right_links=gl.right_links,
-        link_region=regions,
-        link_species=species,
-        link_slots=tuple(lk.slots for lk in gl.links),
-        straight_cores=sum(1 for s in species if s == STRAIGHT_CORE),
-        cross1_core_loops=sum(
-            1 for r, s in zip(regions, species) if s == CORE_LOOP and r == n
-        ),
-        cross2_core_loops=sum(
-            1 for r, s in zip(regions, species) if s == CORE_LOOP and r == n + 1
-        ),
-        nonprimitive=prof.nonprimitive,
-        gluing=gl,
-    )
+    return reconstruct(prof)
 
 
-def _trace_band(dg: StrandDiagram, first: int, last: int):
+def _trace_band(gl: GluingDescription, first: int, last: int):
     """Trace every chain of the band of regions ``first..last``.
 
-    Yields ``(start_side, end_side, [(region, species), ...])`` per chain;
-    sides are ``"left"``/``"right"`` for the band's boundary arcs.
+    Yields ``(start_side, end_side, [link, ...])`` per chain; sides are
+    ``"left"``/``"right"`` for the band's boundary arcs.
     """
-    n = dg.n
+    n = gl.n
     left_arc = first - 1 if first >= 1 else None
     right_arc = last if last <= n else None
-    left_links, right_links = dg.left_links, dg.right_links
-    regions, species, slot_tbl = dg.link_region, dg.link_species, dg.link_slots
+    links, step = gl.links, gl._step
 
-    starts: list[tuple[int, int, int, str]] = []
+    # ((arc, slot), first link inside the band, side) per boundary slot
+    starts: list[tuple[tuple[int, int], int, str]] = []
     if left_arc is not None:
-        starts += [
-            (left_arc, s, first, "left") for s in range(dg.arc_sizes[left_arc])
-        ]
+        col = gl.right_links[left_arc]
+        starts += [((left_arc, s), col[s], "left") for s in range(len(col))]
     if right_arc is not None:
-        starts += [
-            (right_arc, s, last, "right") for s in range(dg.arc_sizes[right_arc])
-        ]
+        col = gl.left_links[right_arc]
+        starts += [((right_arc, s), col[s], "right") for s in range(len(col))]
 
     used: set[tuple[int, int]] = set()
-    for arc0, slot0, region0, side0 in starts:
-        if (arc0, slot0) in used:
+    for pos, lid, side0 in starts:
+        if pos in used:
             continue
-        used.add((arc0, slot0))
-        arc, slot, region = arc0, slot0, region0
-        seq: list[tuple[int, str]] = []
+        used.add(pos)
+        seq: list[Link] = []
         while True:
-            lid = (
-                right_links[arc][slot]
-                if region == arc + 1
-                else left_links[arc][slot]
-            )
-            seq.append((regions[lid], species[lid]))
-            s1, s2 = slot_tbl[lid]
-            nxt = s2 if (arc, slot) == s1 else s1
-            arc, slot = nxt
-            if arc == left_arc and region == first:
-                used.add((arc, slot))
-                yield side0, "left", seq
+            seq.append(links[lid])
+            lid, pos = step(lid, pos)
+            # links inside the band reach its boundary arcs only from within
+            if pos[0] == left_arc or pos[0] == right_arc:
+                used.add(pos)
+                yield side0, "left" if pos[0] == left_arc else "right", seq
                 break
-            if arc == right_arc and region == last:
-                used.add((arc, slot))
-                yield side0, "right", seq
-                break
-            region = arc if region == arc + 1 else arc + 1
 
 
 def _right_turn(region: int, n: int) -> str:
@@ -214,49 +123,50 @@ def _left_turn(region: int, n: int) -> str:
 def _classify(
     start_side: str,
     end_side: str,
-    seq: list[tuple[int, str]],
+    seq: list[Link],
     first: int,
     last: int,
     n: int,
 ) -> str | None:
     """Which large species the chain is, or ``None`` when it crosses."""
     if start_side != end_side:
-        if all(sp == ABOVE for _, sp in seq):
+        if all(lk.species == ABOVE for lk in seq):
             return "over"
-        if all(sp == BELOW for _, sp in seq):
+        if all(lk.species == BELOW for lk in seq):
             return "under"
         return None
     span = last - first
     if len(seq) != 2 * span + 1:
         return None
-    mid_region, mid_species = seq[span]
+    mid = seq[span]
     arms_ok = (
-        all(sp == ABOVE for _, sp in seq[:span])
-        and all(sp == BELOW for _, sp in seq[span + 1 :])
+        all(lk.species == ABOVE for lk in seq[:span])
+        and all(lk.species == BELOW for lk in seq[span + 1 :])
     ) or (
-        all(sp == BELOW for _, sp in seq[:span])
-        and all(sp == ABOVE for _, sp in seq[span + 1 :])
+        all(lk.species == BELOW for lk in seq[:span])
+        and all(lk.species == ABOVE for lk in seq[span + 1 :])
     )
     if not arms_ok:
         return None
     if start_side == "left":
-        if mid_region == last and mid_species == _right_turn(last, n):
+        if mid.region == last and mid.species == _right_turn(last, n):
             return "right"
         return None
-    if mid_region == first and mid_species == _left_turn(first, n):
+    if mid.region == first and mid.species == _left_turn(first, n):
         return "left"
     return None
 
 
-def _band_crossings(dg: StrandDiagram, first: int, last: int) -> int:
-    crossing_chains = 0
-    for start_side, end_side, seq in _trace_band(dg, first, last):
-        if _classify(start_side, end_side, seq, first, last, dg.n) is None:
-            crossing_chains += 1
-    return 2 * crossing_chains
+def _census(gl: GluingDescription, first: int, last: int) -> Counter:
+    """Traced chains of the band ``first..last`` per :func:`_classify` kind;
+    ``None`` counts the chains that cross the band's curve."""
+    return Counter(
+        _classify(start_side, end_side, seq, first, last, gl.n)
+        for start_side, end_side, seq in _trace_band(gl, first, last)
+    )
 
 
-def count_crossings(dg: StrandDiagram, curve: ElementaryCurve) -> int:
+def count_crossings(gl: GluingDescription, curve: ElementaryCurve) -> int:
     """Crossings of the diagram's multicurve with one elementary curve,
     counted by walking strands.  Matches
     :func:`crosscap.intersect.intersect_elementary` on every realizable
@@ -266,32 +176,30 @@ def count_crossings(dg: StrandDiagram, curve: ElementaryCurve) -> int:
         raise UnsupportedCurveError(
             f"no crossing rule for non-primitive curve {curve.label()}"
         )
-    curve.check(dg.n)
-    if curve.kind == "D" and dg.nonprimitive.any():
-        raise NonprimitiveContentError("diagram carries whole non-primitive components")
-    crossings = _band_crossings(dg, *_span(_curve_range(curve, dg.n), dg.n))
+    n = gl.n
+    curve.check(n)
+    crossings = 2 * _census(gl, *_span(_curve_range(curve, n), n))[None]
     if curve.kind != "D":
         return crossings
-    passes1 = dg.straight_cores + dg.cross1_core_loops
-    passes2 = dg.cross2_core_loops
+    passes = [0, 0]  # core passages through crosscaps 1 and 2 (regions n, n+1)
+    for lk in gl.links:
+        if lk.species in (CORE_CURVE, BOUNDING_CURVE):
+            raise NonprimitiveContentError("diagram carries whole non-primitive components")
+        if lk.species in (STRAIGHT_CORE, CORE_LOOP):
+            passes[lk.region - n] += 1
     if crossings == 0:
-        return abs(passes1 - passes2)
-    return crossings - passes1 - passes2
+        return abs(passes[0] - passes[1])
+    return crossings - passes[0] - passes[1]
 
 
-def large_census(dg: StrandDiagram, rng: RegionRange) -> tuple[int, int, int, int]:
+def large_census(gl: GluingDescription, rng: RegionRange) -> tuple[int, int, int, int]:
     """Large components of a range, counted by tracing instead of formulas.
 
     Returns ``(over, under, right_loops, left_loops)``.
     """
-    rng.check(dg.n)
-    first, last = _span(rng, dg.n)
-    counts = {"over": 0, "under": 0, "right": 0, "left": 0}
-    for start_side, end_side, seq in _trace_band(dg, first, last):
-        kind = _classify(start_side, end_side, seq, first, last, dg.n)
-        if kind is not None:
-            counts[kind] += 1
-    return counts["over"], counts["under"], counts["right"], counts["left"]
+    rng.check(gl.n)
+    census = _census(gl, *_span(rng, gl.n))
+    return census["over"], census["under"], census["right"], census["left"]
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +280,7 @@ def compare_point(coords: DynnikovCoordinates) -> list[Divergence]:
     curves = _checked(coords, None)
     tri = invert(coords)
     prof = profile(tri)
-    dg = build_diagram(prof)
+    gl = build_diagram(prof)
     return [
         Divergence(
             coords=format_coords(coords),
@@ -383,7 +291,7 @@ def compare_point(coords: DynnikovCoordinates) -> list[Divergence]:
             profile=prof.to_dict(),
         )
         for curve, fval in zip(curves, _formula_values(tri, prof, curves))
-        if (tval := count_crossings(dg, curve)) != fval
+        if (tval := count_crossings(gl, curve)) != fval
     ]
 
 
@@ -407,10 +315,14 @@ def run_selftest(
     """Sweep the grid comparing every formula against the tracing oracle.
 
     ``cmax`` defaults to ``bound``.  With ``jobs > 1`` the grid is sharded
-    across worker processes (points are independent).
+    across worker processes (points are independent).  A negative bound and
+    a box with no point to check both raise :class:`InvalidParameterError`,
+    so an empty sweep never reports agreement.
     """
     if cmax is None:
         cmax = bound
+    if bound < 0 or cmax < 0:
+        raise InvalidParameterError(f"bound and cmax must be >= 0, got {bound} and {cmax}")
     total = grid_size(n, bound, cmax)
     report = SelftestReport(n=n, bound=bound, cmax=cmax, points_total=total)
     t0 = time.perf_counter()
@@ -428,6 +340,11 @@ def run_selftest(
             for checked, divs in pool.imap(_sweep_chunk, chunks):
                 report.points_checked += checked
                 report.divergences.extend(divs)
+    if not report.points_checked:
+        raise InvalidParameterError(
+            f"the box (n={n}, bound={bound}, c in [0,{cmax}]) holds no realizable "
+            "nonzero vector: nothing to check"
+        )
     report.divergences = report.divergences[:max_divergences]
     report.elapsed = time.perf_counter() - t0
     return report

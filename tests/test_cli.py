@@ -1,11 +1,13 @@
 """Command-line behaviour: formats, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 
 from crosscap.cli import main
 from crosscap.coords import parse_coords
+from crosscap.oracle import SelftestReport
 
 
 def run(capsys, *argv):
@@ -120,10 +122,29 @@ class TestErrors:
         assert code == 1
         assert err.startswith("crosscap: error:") and "Cij:x,2" in err
 
+    def test_non_utf8_file_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_bytes(b'\xff\xfe{"n": 2}')
+        code, _, err = run(capsys, "invert", "--file", str(path))
+        assert code == 1
+        assert err.startswith("crosscap: error:") and "not UTF-8" in err
+
     def test_large_range_outside_surface_exits_one(self, capsys):
         code, out, err = run(capsys, "profile", "(2; 1,0; -2; 2,0)", "--large", "5", "1")
         assert code == 1 and out == ""
         assert err.startswith("crosscap: error:") and "--large 5 1" in err
+
+    def test_large_upper_index_outside_surface_exits_one(self, capsys):
+        code, out, err = run(capsys, "profile", "(2; 1,0; -2; 2,0)", "--large", "1", "9")
+        assert code == 1 and out == ""
+        assert err.startswith("crosscap: error:") and "--large 1 9" in err
+
+    def test_large_reversed_pair_gives_crosscap_ranges_only(self, capsys):
+        code, out, _ = run(
+            capsys, "profile", "(2; 1,0; -2; 2,0)", "--large", "2", "1", "--json"
+        )
+        assert code == 0
+        assert sorted(json.loads(out)["large"]) == ["S'_(2,1)", "S'_(2,2)"]
 
 
 class TestProfileAndRender:
@@ -173,3 +194,37 @@ class TestSelftest:
         data = json.loads(out.strip() or "{}")
         assert data["divergences"] == 0
         assert data["points_checked"] > 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--bound", "-1", "--cmax", "2"),  # negative bound
+            ("--bound", "-1"),  # empty box
+            ("--bound", "0"),  # only the zero vector
+        ],
+    )
+    def test_vacuous_sweep_exits_one(self, capsys, argv):
+        code, out, err = run(capsys, "selftest", "--jobs", "1", *argv)
+        assert code == 1
+        assert err.startswith("crosscap: error:") and "agree" not in out
+
+    def test_negative_jobs_exits_one(self, capsys):
+        code, _, err = run(capsys, "selftest", "--bound", "1", "--jobs", "-1")
+        assert code == 1
+        assert err.startswith("crosscap: error:") and "--jobs" in err
+
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
+        # records the job count instead of sweeping, so no worker starts
+        seen = []
+
+        def fake_selftest(n, bound, cmax, jobs):
+            seen.append(jobs)
+            return SelftestReport(
+                n=n, bound=bound, cmax=cmax, points_total=1, points_checked=1
+            )
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr("crosscap.cli.run_selftest", fake_selftest)
+        for jobs in ("64", "2", "0"):
+            assert run(capsys, "selftest", "--jobs", jobs)[0] == 0
+        assert seen == [3, 2, 3]

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from crosscap.coords import (
     DynnikovCoordinates,
-    SurfaceSpec,
     TriangleCoordinates,
     format_coords,
     format_triangle,
@@ -47,9 +46,6 @@ class TestDynnikovCoordinates:
     def test_n_below_two_rejected(self):
         with pytest.raises(DimensionMismatchError):
             vec(1, [], [1], 0, 0, 0)
-        with pytest.raises(DimensionMismatchError):
-            SurfaceSpec(1)
-        assert SurfaceSpec(2).n == 2
 
     def test_non_integer_entries_rejected(self):
         with pytest.raises(DimensionMismatchError):

@@ -1,8 +1,17 @@
 """The strand-tracing oracle and the grid self-test machinery."""
 
+import itertools
+
 import pytest
 
-from crosscap.components import profile
+from crosscap.components import (
+    BOUNDING_CURVE,
+    CORE_CURVE,
+    CORE_LOOP,
+    STRAIGHT_CORE,
+    profile,
+    reconstruct,
+)
 from crosscap.coords import DynnikovCoordinates, TriangleCoordinates, parse_coords
 from crosscap.errors import NonprimitiveContentError, UnsupportedCurveError
 from crosscap.intersect import ElementaryCurve, elementary_coords
@@ -18,9 +27,40 @@ from crosscap.oracle import (
 
 EX1 = TriangleCoordinates(n=2, alpha=(1, 5), beta=(6, 4, 4), gamma=4, c1=2, c2=0)
 EX2 = TriangleCoordinates(n=2, alpha=(3, 1), beta=(4, 2, 2), gamma=4, c1=1, c2=1)
+NEGATIVE_C = (
+    "(2; 1,0; -2; -1,-2)",
+    "(0; 0,0; 0; -3,-4)",
+    "(-1; 1,0; 0; -2,1)",
+    "(1,-2; 0,1,-1; 2; -5,0)",
+)
+
+
+def species_count(gl, species, region):
+    return sum(1 for lk in gl.links if lk.species == species and lk.region == region)
+
+
+def link_census(gl):
+    """Core passages through crosscaps 1 and 2, and whether whole
+    non-primitive curves are present, read off the glued links."""
+    n = gl.n
+    passes1 = species_count(gl, STRAIGHT_CORE, n) + species_count(gl, CORE_LOOP, n)
+    passes2 = species_count(gl, CORE_LOOP, n + 1)
+    nonprimitive = any(lk.species in (CORE_CURVE, BOUNDING_CURVE) for lk in gl.links)
+    return passes1, passes2, nonprimitive
+
+
+def sampled_profiles():
+    """A strided n=3 grid plus a few vectors with negative ``c`` entries."""
+    grid = itertools.islice(grid_points(3, 2, 2), 0, 20000, 41)
+    negative = (parse_coords(text) for text in NEGATIVE_C)
+    for v in itertools.chain(grid, negative):
+        yield profile(invert(v))
 
 
 class TestBuildDiagram:
+    def test_build_diagram_is_the_gluing(self):
+        assert build_diagram(profile(EX1)) == reconstruct(profile(EX1))
+
     def test_slot_totals_match_crossing_counts(self):
         dg = build_diagram(profile(EX1))
         assert dg.arc_sizes == (6, 4, 4)
@@ -29,14 +69,20 @@ class TestBuildDiagram:
 
     def test_passage_census(self):
         dg = build_diagram(profile(EX2))
-        assert dg.straight_cores == 1
-        assert dg.cross1_core_loops == 0
-        assert dg.cross2_core_loops == 1
+        assert species_count(dg, STRAIGHT_CORE, 2) == 1
+        assert species_count(dg, CORE_LOOP, 2) == 0
+        assert species_count(dg, CORE_LOOP, 3) == 1
+        for p in sampled_profiles():
+            assert link_census(build_diagram(p)) == (
+                p.straight_cores + p.cross1_core_loops,
+                p.cross2_core_loops,
+                p.nonprimitive.any(),
+            ), p
 
     def test_determinism(self):
         a = build_diagram(profile(EX1))
         b = build_diagram(profile(EX1))
-        assert a.link_slots == b.link_slots
+        assert [lk.slots for lk in a.links] == [lk.slots for lk in b.links]
         assert a.left_links == b.left_links
 
     def test_closed_components_of_final_example(self):
@@ -50,12 +96,18 @@ class TestBuildDiagram:
         comps = build_diagram(profile(tri)).closed_components()
         assert sorted(len(c) for c in comps) == [1, 1]
 
+    def test_closed_components_partition_the_links(self):
+        for p in sampled_profiles():
+            dg = build_diagram(p)
+            ids = [lid for cycle in dg.closed_components() for lid in cycle]
+            assert sorted(ids) == list(range(len(dg.links))), p
+
     def test_two_crosscap_curve_is_one_component(self):
         v = elementary_coords(ElementaryCurve.D(), 2)
         dg = build_diagram(profile(invert(v)))
         comps = dg.closed_components()
         assert len(comps) == 1
-        assert dg.cross1_core_loops == dg.cross2_core_loops == 1
+        assert species_count(dg, CORE_LOOP, 2) == species_count(dg, CORE_LOOP, 3) == 1
 
 
 class TestCountCrossings:
