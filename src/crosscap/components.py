@@ -17,9 +17,10 @@ path components, finitely many per region.  The regions, left to right:
 
 :func:`profile` computes how many components of each species the counts
 force, and :func:`reconstruct` produces the unique crossing-free gluing of
-those components, slot by slot along every arc.  Arc slots are numbered
-top to bottom; strands passing through a crosscap come out in reversed
-transverse order, which is what makes the surface non-orientable.
+those components, one bundle of parallel components per species block.
+Arc slots are numbered top to bottom; strands passing through a crosscap
+come out in reversed transverse order, which is what makes the surface
+non-orientable.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "ComponentProfile",
     "profile",
     "Link",
+    "Bundle",
     "GluingDescription",
     "reconstruct",
 ]
@@ -257,41 +259,74 @@ class Link:
 
 
 @dataclass(frozen=True)
-class GluingDescription:
-    """The unique crossing-free assembly of a profile's components.
+class Bundle:
+    """One species block of one region: ``width`` parallel components.
 
-    ``left_links[arc][slot]`` / ``right_links[arc][slot]`` give the link
-    occupying a slot from the region on either side of the arc; a strand of
-    the multicurve continues across an arc through the same slot number.
+    ``ends`` holds the ``(arc, first slot)`` pair of each of the block's two
+    slot intervals, ``width`` slots long; whole non-primitive curves have no
+    ends.  Offset ``i`` into the first end is glued to offset ``i`` of the
+    second, or to offset ``width - 1 - i`` when ``reversed``.
+    """
+
+    region: int
+    species: str
+    ends: tuple[tuple[int, int], ...]
+    width: int
+    reversed: bool
+
+
+@dataclass(frozen=True)
+class GluingDescription:
+    """The unique crossing-free assembly of a profile's components, as
+    bundles of parallel components.
+
+    ``left_ends[arc]`` / ``right_ends[arc]`` list the bundle ends on the arc
+    from the region on either side as ``(first slot, bundle id, end
+    index)``, sorted by slot; they tile the arc's slots.  A strand of the
+    multicurve continues across an arc through the same slot number.
     """
 
     n: int
     arc_sizes: tuple[int, ...]
-    links: tuple[Link, ...]
-    left_links: tuple[tuple[int, ...], ...]
-    right_links: tuple[tuple[int, ...], ...]
+    bundles: tuple[Bundle, ...]
+    left_ends: tuple[tuple[tuple[int, int, int], ...], ...]
+    right_ends: tuple[tuple[tuple[int, int, int], ...], ...]
 
-    def _step(self, lid: int, pos: tuple[int, int]) -> tuple[int, tuple[int, int]]:
-        """Follow a strand that enters link ``lid`` at the ``(arc, slot)``
-        pair ``pos``: leave by the link's other slot and cross that arc.
+    @property
+    def links(self) -> tuple[Link, ...]:
+        """The per-slot expansion: one :class:`Link` per component, built
+        afresh on each access.
 
-        Returns the link across the arc and the ``(arc, slot)`` crossed.
+        Bundles expand in order; below components are numbered from the
+        bottom of the arc, every other block from the top of its first end.
         """
-        lk = self.links[lid]
-        s1, s2 = lk.slots
-        pos = s2 if pos == s1 else s1
-        arc, slot = pos
-        across = self.right_links if lk.region == arc else self.left_links
-        return across[arc][slot], pos
+        out: list[Link] = []
+        for b in self.bundles:
+            if not b.ends:
+                out += [Link(b.region, b.species, ())] * b.width
+                continue
+            (arc0, first0), (arc1, first1) = b.ends
+            w = b.width
+            for i in range(w - 1, -1, -1) if b.species == BELOW else range(w):
+                j = w - 1 - i if b.reversed else i
+                out.append(Link(b.region, b.species, ((arc0, first0 + i), (arc1, first1 + j))))
+        return tuple(out)
 
     def closed_components(self) -> list[list[int]]:
         """Each multicurve component as the cycle of link ids it runs through.
 
         Whole non-primitive curves appear as singleton cycles.
         """
+        links = self.links
+        # (region, arc, slot) -> the link of that region in that slot
+        holder = {
+            (lk.region, arc, slot): lid
+            for lid, lk in enumerate(links)
+            for arc, slot in lk.slots
+        }
         seen: set[int] = set()
         out: list[list[int]] = []
-        for start, lk in enumerate(self.links):
+        for start, lk in enumerate(links):
             if start in seen:
                 continue
             cycle = [start]
@@ -299,7 +334,11 @@ class GluingDescription:
             if lk.slots:
                 lid, pos = start, lk.slots[0]
                 while True:
-                    lid, pos = self._step(lid, pos)
+                    # leave by the link's other slot and cross that arc
+                    region, (s1, s2) = links[lid].region, links[lid].slots
+                    pos = s2 if pos == s1 else s1
+                    arc, slot = pos
+                    lid = holder[arc + 1 if region == arc else arc, arc, slot]
                     if lid == start:
                         break
                     cycle.append(lid)
@@ -332,7 +371,9 @@ def reconstruct(prof: ComponentProfile) -> GluingDescription:
     its outermost upper arm pairs with its outermost lower arm.  A loop
     through a crosscap pairs its arms in parallel order instead, and
     straight cores come out of the crosscap in reversed order -- both are
-    faces of the antipodal identification.
+    faces of the antipodal identification.  Each species block of a region
+    is one :class:`Bundle`, so the gluing's size does not grow with the
+    counts.
     """
     n = prof.n
     for arc in range(n + 1):
@@ -344,91 +385,78 @@ def reconstruct(prof: ComponentProfile) -> GluingDescription:
             )
 
     sizes = prof.beta
-    left_tbl: list[list[int]] = [[-1] * s for s in sizes]
-    right_tbl: list[list[int]] = [[-1] * s for s in sizes]
-    links: list[Link] = []
+    bundles: list[Bundle] = []
 
-    def add(region: int, species: str, slots: tuple[tuple[int, int], ...]):
-        idx = len(links)
-        links.append(Link(region=region, species=species, slots=slots))
-        for arc, slot in slots:
-            tbl = left_tbl if region == arc else right_tbl
-            if not 0 <= slot < sizes[arc] or tbl[arc][slot] != -1:
-                raise EndpointMismatchError(
-                    f"slot {slot} on arc {arc + 1} assigned twice"
-                )
-            tbl[arc][slot] = idx
+    def block(region: int, species: str, width: int, ends=(), flip=False):
+        if width > 0:
+            bundles.append(Bundle(region, species, ends, width, flip))
 
-    for j in range(prof.s0_loops):
-        add(0, LOOP_LEFT, ((0, j), (0, sizes[0] - 1 - j)))
+    block(0, LOOP_LEFT, prof.s0_loops, ((0, 0), (0, prof.s0_loops)), True)
 
     for region in range(1, n):
         k = region - 1
         above, below = prof.above[k], prof.below[k]
         loops, side = prof.loops[k], prof.sides[k]
         la, ra = region - 1, region
-        for j in range(above):
-            add(region, ABOVE, ((la, j), (ra, j)))
-        for j in range(below):
-            add(region, BELOW, ((la, sizes[la] - 1 - j), (ra, sizes[ra] - 1 - j)))
+        block(region, ABOVE, above, ((la, 0), (ra, 0)))
+        block(region, BELOW, below, ((la, sizes[la] - below), (ra, sizes[ra] - below)))
         if side == "right":
-            for j in range(loops):
-                add(region, LOOP_RIGHT, ((la, above + j), (la, above + 2 * loops - 1 - j)))
+            block(region, LOOP_RIGHT, loops, ((la, above), (la, above + loops)), True)
         elif side == "left":
-            for j in range(loops):
-                add(region, LOOP_LEFT, ((ra, above + j), (ra, above + 2 * loops - 1 - j)))
+            block(region, LOOP_LEFT, loops, ((ra, above), (ra, above + loops)), True)
 
     # First crosscap region (index n, between arcs n-1 and n).
     above, below = prof.cross1_above, prof.cross1_below
     psi = prof.straight_cores
     core, noncore = prof.cross1_core_loops, prof.cross1_noncore_loops
     la, ra = n - 1, n
-    for j in range(above):
-        add(n, ABOVE, ((la, j), (ra, j)))
-    for j in range(below):
-        add(n, BELOW, ((la, sizes[la] - 1 - j), (ra, sizes[ra] - 1 - j)))
+    block(n, ABOVE, above, ((la, 0), (ra, 0)))
+    block(n, BELOW, below, ((la, sizes[la] - below), (ra, sizes[ra] - below)))
     loop_arc = ra if prof.cross1_side == "left" else la
     other_arc = la if loop_arc == ra else ra
-    for j in range(psi):
-        add(
-            n,
-            STRAIGHT_CORE,
-            ((loop_arc, above + noncore + core + j), (other_arc, above + psi - 1 - j)),
-        )
     wrap_base = above + noncore + core + psi
-    for j in range(core):
-        add(n, CORE_LOOP, ((loop_arc, above + noncore + j), (loop_arc, wrap_base + j)))
-    for j in range(noncore):
-        add(
-            n,
-            NONCORE_LOOP,
-            ((loop_arc, above + j), (loop_arc, wrap_base + core + noncore - 1 - j)),
-        )
+    block(n, STRAIGHT_CORE, psi, ((loop_arc, above + noncore + core), (other_arc, above)), True)
+    block(n, CORE_LOOP, core, ((loop_arc, above + noncore), (loop_arc, wrap_base)))
+    block(n, NONCORE_LOOP, noncore, ((loop_arc, above), (loop_arc, wrap_base + core)), True)
 
     # Second crosscap region (index n+1, right of arc n).
     core2, noncore2 = prof.cross2_core_loops, prof.cross2_noncore_loops
-    for j in range(noncore2):
-        add(n + 1, NONCORE_LOOP, ((n, j), (n, sizes[n] - 1 - j)))
-    for j in range(core2):
-        add(n + 1, CORE_LOOP, ((n, noncore2 + j), (n, noncore2 + core2 + j)))
+    block(n + 1, NONCORE_LOOP, noncore2, ((n, 0), (n, sizes[n] - noncore2)), True)
+    block(n + 1, CORE_LOOP, core2, ((n, noncore2), (n, noncore2 + core2)))
 
-    for j in range(prof.nonprimitive.core1):
-        add(n, CORE_CURVE, ())
-    for j in range(prof.nonprimitive.bounding1):
-        add(n, BOUNDING_CURVE, ())
-    for j in range(prof.nonprimitive.core2):
-        add(n + 1, CORE_CURVE, ())
-    for j in range(prof.nonprimitive.bounding2):
-        add(n + 1, BOUNDING_CURVE, ())
+    whole = prof.nonprimitive
+    block(n, CORE_CURVE, whole.core1)
+    block(n, BOUNDING_CURVE, whole.bounding1)
+    block(n + 1, CORE_CURVE, whole.core2)
+    block(n + 1, BOUNDING_CURVE, whole.bounding2)
 
-    for arc in range(n + 1):
-        if -1 in left_tbl[arc] or -1 in right_tbl[arc]:
-            raise EndpointMismatchError(f"unfilled slot on arc {arc + 1}")
+    left_ends: list[list[tuple[int, int, int]]] = [[] for _ in sizes]
+    right_ends: list[list[tuple[int, int, int]]] = [[] for _ in sizes]
+    for bid, b in enumerate(bundles):
+        for end, (arc, first) in enumerate(b.ends):
+            (left_ends if b.region == arc else right_ends)[arc].append((first, bid, end))
+    # The ends on each side of each arc must tile its slots exactly.
+    for arc, size in enumerate(sizes):
+        for ends in (left_ends[arc], right_ends[arc]):
+            ends.sort()
+            top = 0
+            for first, bid, _ in ends:
+                if first != top:
+                    break
+                top += bundles[bid].width
+            else:
+                first = size
+            if first != top:
+                raise EndpointMismatchError(
+                    f"slot {first} on arc {arc + 1} assigned twice"
+                    if first < top
+                    else f"unfilled slot {top} on arc {arc + 1}"
+                )
 
     return GluingDescription(
         n=n,
         arc_sizes=sizes,
-        links=tuple(links),
-        left_links=tuple(tuple(col) for col in left_tbl),
-        right_links=tuple(tuple(col) for col in right_tbl),
+        bundles=tuple(bundles),
+        left_ends=tuple(map(tuple, left_ends)),
+        right_ends=tuple(map(tuple, right_ends)),
     )

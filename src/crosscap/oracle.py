@@ -2,10 +2,10 @@
 
 This module re-derives intersection numbers without the min-formulas: it
 assembles the multicurve from its component profile (via the unique
-crossing-free gluing), walks every strand of the relevant region band, and
-classifies each traced chain by the shape of its itinerary.  A chain
-avoids a disk-bounding elementary curve exactly when it clears the band on
-one side:
+crossing-free gluing), walks every strand of the relevant region band --
+whole bundles of parallel strands at a time -- and classifies each traced
+chain by the shape of its itinerary.  A chain avoids a disk-bounding
+elementary curve exactly when it clears the band on one side:
 
 * it runs above (or below) the whole band, link after link;
 * or it enters from the left arc, runs above, turns around at the far end
@@ -17,7 +17,7 @@ one side:
 Every other chain crosses the curve exactly twice.  Crossings with the
 curve threading both crosscaps follow from the traced crossing count with
 the both-crosscaps disk and the core passages counted over the glued
-links, by the same case split the closed formula uses.
+bundles, by the same case split the closed formula uses.
 
 Nothing here looks at the range min-formulas, so agreement between the two
 paths genuinely cross-checks them; :func:`run_selftest` sweeps a grid of
@@ -27,9 +27,11 @@ coordinate vectors and compares every in-scope elementary curve.
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import Pool
+from operator import itemgetter
 from typing import Iterator
 
 from .components import (
@@ -42,9 +44,9 @@ from .components import (
     LOOP_RIGHT,
     NONCORE_LOOP,
     STRAIGHT_CORE,
+    Bundle,
     ComponentProfile,
     GluingDescription,
-    Link,
     profile,
     reconstruct,
 )
@@ -71,45 +73,9 @@ def build_diagram(prof: ComponentProfile) -> GluingDescription:
 
     This is :func:`crosscap.components.reconstruct`; the oracle traces the
     gluing as it is and censuses everything it needs from the assembled
-    links, never from the profile's counts.
+    bundles, never from the profile's counts.
     """
     return reconstruct(prof)
-
-
-def _trace_band(gl: GluingDescription, first: int, last: int):
-    """Trace every chain of the band of regions ``first..last``.
-
-    Yields ``(start_side, end_side, [link, ...])`` per chain; sides are
-    ``"left"``/``"right"`` for the band's boundary arcs.
-    """
-    n = gl.n
-    left_arc = first - 1 if first >= 1 else None
-    right_arc = last if last <= n else None
-    links, step = gl.links, gl._step
-
-    # ((arc, slot), first link inside the band, side) per boundary slot
-    starts: list[tuple[tuple[int, int], int, str]] = []
-    if left_arc is not None:
-        col = gl.right_links[left_arc]
-        starts += [((left_arc, s), col[s], "left") for s in range(len(col))]
-    if right_arc is not None:
-        col = gl.left_links[right_arc]
-        starts += [((right_arc, s), col[s], "right") for s in range(len(col))]
-
-    used: set[tuple[int, int]] = set()
-    for pos, lid, side0 in starts:
-        if pos in used:
-            continue
-        used.add(pos)
-        seq: list[Link] = []
-        while True:
-            seq.append(links[lid])
-            lid, pos = step(lid, pos)
-            # links inside the band reach its boundary arcs only from within
-            if pos[0] == left_arc or pos[0] == right_arc:
-                used.add(pos)
-                yield side0, "left" if pos[0] == left_arc else "right", seq
-                break
 
 
 def _right_turn(region: int, n: int) -> str:
@@ -120,50 +86,128 @@ def _left_turn(region: int, n: int) -> str:
     return LOOP_LEFT if region <= n - 1 else NONCORE_LOOP
 
 
-def _classify(
-    start_side: str,
-    end_side: str,
-    seq: list[Link],
-    first: int,
-    last: int,
-    n: int,
-) -> str | None:
-    """Which large species the chain is, or ``None`` when it crosses."""
-    if start_side != end_side:
-        if all(lk.species == ABOVE for lk in seq):
-            return "over"
-        if all(lk.species == BELOW for lk in seq):
-            return "under"
-        return None
-    span = last - first
-    if len(seq) != 2 * span + 1:
-        return None
-    mid = seq[span]
-    arms_ok = (
-        all(lk.species == ABOVE for lk in seq[:span])
-        and all(lk.species == BELOW for lk in seq[span + 1 :])
-    ) or (
-        all(lk.species == BELOW for lk in seq[:span])
-        and all(lk.species == ABOVE for lk in seq[span + 1 :])
-    )
-    if not arms_ok:
-        return None
-    if start_side == "left":
-        if mid.region == last and mid.species == _right_turn(last, n):
-            return "right"
-        return None
-    if mid.region == first and mid.species == _left_turn(first, n):
-        return "left"
-    return None
+_slot = itemgetter(0)
 
 
 def _census(gl: GluingDescription, first: int, last: int) -> Counter:
-    """Traced chains of the band ``first..last`` per :func:`_classify` kind;
-    ``None`` counts the chains that cross the band's curve."""
-    return Counter(
-        _classify(start_side, end_side, seq, first, last, gl.n)
-        for start_side, end_side, seq in _trace_band(gl, first, last)
-    )
+    """Traced chains of the band ``first..last`` by the large species they
+    are (``"over"``, ``"under"``, ``"right"``, ``"left"``); ``None`` counts
+    the chains that cross the band's curve.
+
+    Strands are traced as intervals: each boundary arc of the band starts
+    as one interval, which splits only where the bundle across the next
+    arc changes, and each piece is classified once for all its strands.
+    Every chain is met from both of its ends and is the same species read
+    either way, so the counts are halved.
+
+    A chain clears a band of ``span + 1`` regions only in the shapes the
+    module docstring lists: every link but the middle one (position
+    ``span``) runs above or below, those before the middle like the first
+    link and those after it the other way.  A piece is followed only while
+    it keeps that shape, and for at most ``2 * span + 1`` links: a chain
+    still inside the band after that cannot clear it, so it crosses.  A
+    piece carries its link count, its first link's species and its middle
+    link, never the whole chain.
+    """
+    n, bundles = gl.n, gl.bundles
+    left_arc = first - 1 if first >= 1 else None
+    right_arc = last if last <= n else None
+    span = last - first
+    # where a chain that comes back to its starting arc must turn
+    turns = {
+        left_arc: (last, _right_turn(last, n), "right"),
+        right_arc: (first, _left_turn(first, n), "left"),
+    }
+    counts: Counter = Counter()
+    # (slots lo..hi-1, the bundle ends they enter, the arc the chain
+    #  started from, links so far, first link's species, middle link)
+    todo = [
+        (0, gl.arc_sizes[arc], sides[arc], arc, 0, None, None)
+        for arc, sides in ((left_arc, gl.right_ends), (right_arc, gl.left_ends))
+        if arc is not None
+    ]
+    while todo:
+        lo, hi, ends, origin, p, head, mid = todo.pop()
+        i = bisect_right(ends, lo, key=_slot) - 1 if lo else 0
+        while lo < hi:
+            start, bid, end = ends[i]
+            i += 1
+            b = bundles[bid]
+            top = min(hi, start + b.width)
+            species = b.species
+            if p == 0:
+                head = species
+            if p == span:
+                mid = b
+            arc, other = b.ends[1 - end]
+            if p != span and (species not in (ABOVE, BELOW) or (species == head) != (p < span)):
+                counts[None] += top - lo
+            elif arc == left_arc or arc == right_arc:
+                counts[_cleared(arc == origin, p, span, head, mid, turns[origin])] += top - lo
+            elif p == 2 * span:
+                counts[None] += top - lo
+            else:
+                if b.reversed:
+                    lo2, hi2 = other + start + b.width - top, other + start + b.width - lo
+                else:
+                    lo2, hi2 = other + lo - start, other + top - start
+                across = gl.right_ends if b.region == arc else gl.left_ends
+                todo.append((lo2, hi2, across[arc], origin, p + 1, head, mid))
+            lo = top
+    for kind in counts:
+        counts[kind] //= 2
+    return counts
+
+
+def _cleared(
+    back: bool, p: int, span: int, head: str, mid: Bundle | None, turn: tuple[int, str, str]
+) -> str | None:
+    """The large species of a chain that left the band after ``p + 1``
+    links in the clearing shape, or ``None`` when it crosses.
+
+    ``back`` tells whether it left by the arc it started from; ``turn`` is
+    ``(region, species, kind)`` of the turn such a chain needs.
+    """
+    if not back:  # over or under: one species all the way across
+        if p <= span and (mid is None or mid.species == head) and head in (ABOVE, BELOW):
+            return "over" if head == ABOVE else "under"
+        return None
+    region, species, kind = turn
+    if p == 2 * span and mid.region == region and mid.species == species:
+        return kind
+    return None
+
+
+def _traced_values(gl: GluingDescription, curves: tuple[ElementaryCurve, ...]) -> list[int]:
+    """Traced crossings with curves that passed their checks, one census
+    per distinct band (``D`` reads ``C``'s).
+
+    ``D`` then takes the core passages counted over the glued bundles, by
+    the same case split the closed formula uses.
+    """
+    n = gl.n
+    censuses: dict[tuple[int, int], Counter] = {}
+    out = []
+    for curve in curves:
+        band = _span(_curve_range(curve, n), n)
+        if band not in censuses:
+            censuses[band] = _census(gl, *band)
+        crossings = 2 * censuses[band][None]
+        if curve.kind == "D":
+            passes = [0, 0]  # core passages through crosscaps 1 and 2 (regions n, n+1)
+            for b in gl.bundles:
+                if b.species in (CORE_CURVE, BOUNDING_CURVE):
+                    raise NonprimitiveContentError(
+                        "diagram carries whole non-primitive components"
+                    )
+                if b.species in (STRAIGHT_CORE, CORE_LOOP):
+                    passes[b.region - n] += b.width
+            if crossings == 0:
+                crossings = abs(passes[0] - passes[1])
+            else:
+                crossings -= passes[0] + passes[1]
+        out.append(crossings)
+    return out
 
 
 def count_crossings(gl: GluingDescription, curve: ElementaryCurve) -> int:
@@ -176,20 +220,8 @@ def count_crossings(gl: GluingDescription, curve: ElementaryCurve) -> int:
         raise UnsupportedCurveError(
             f"no crossing rule for non-primitive curve {curve.label()}"
         )
-    n = gl.n
-    curve.check(n)
-    crossings = 2 * _census(gl, *_span(_curve_range(curve, n), n))[None]
-    if curve.kind != "D":
-        return crossings
-    passes = [0, 0]  # core passages through crosscaps 1 and 2 (regions n, n+1)
-    for lk in gl.links:
-        if lk.species in (CORE_CURVE, BOUNDING_CURVE):
-            raise NonprimitiveContentError("diagram carries whole non-primitive components")
-        if lk.species in (STRAIGHT_CORE, CORE_LOOP):
-            passes[lk.region - n] += 1
-    if crossings == 0:
-        return abs(passes[0] - passes[1])
-    return crossings - passes[0] - passes[1]
+    curve.check(gl.n)
+    return _traced_values(gl, (curve,))[0]
 
 
 def large_census(gl: GluingDescription, rng: RegionRange) -> tuple[int, int, int, int]:
@@ -290,8 +322,10 @@ def compare_point(coords: DynnikovCoordinates) -> list[Divergence]:
             triangle=tri.to_dict(),
             profile=prof.to_dict(),
         )
-        for curve, fval in zip(curves, _formula_values(tri, prof, curves))
-        if (tval := count_crossings(gl, curve)) != fval
+        for curve, fval, tval in zip(
+            curves, _formula_values(tri, prof, curves), _traced_values(gl, curves)
+        )
+        if tval != fval
     ]
 
 

@@ -1,5 +1,9 @@
 """Component profiles and the crossing-free gluing."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,10 +21,24 @@ from crosscap.components import (
     profile,
     reconstruct,
 )
+from crosscap.cli import main
 from crosscap.coords import DynnikovCoordinates, TriangleCoordinates, parse_coords
-from crosscap.errors import ParityViolationError
+from crosscap.errors import EndpointMismatchError, ParityViolationError
 from crosscap.inversion import invert, realizable
 from paper_forms import _paper_literal_crosscap_above_below
+from slot_trace import sample_vectors
+
+GOLDEN = Path(__file__).parent / "golden"
+# Gluing JSON and rendered SVG pinned from the per-slot gluing, which
+# numbered every link and slot one at a time.
+GOLDEN_VECTORS = {
+    "ex1": "(2; 1,0; -2; 2,0)",
+    "ex2": "(-1; 1,0; 1; 1,1)",
+    "n3_right": "(0,0; 3,-2,1; 0; 3,3)",
+    "n3_left": "(-2,0; 2,-2,-1; -2; 3,3)",
+    "n3_noncore": "(-2,0; -3,2,-3; -2; 2,2)",
+    "nonprimitive": "(2; 1,0; -2; -1,-2)",
+}
 
 EX1 = TriangleCoordinates(n=2, alpha=(1, 5), beta=(6, 4, 4), gamma=4, c1=2, c2=0)
 EX2 = TriangleCoordinates(n=2, alpha=(3, 1), beta=(4, 2, 2), gamma=4, c1=1, c2=1)
@@ -139,16 +157,40 @@ class TestReconstruct:
         assert all(lk.slots == () for lk in gl.links)
 
     def test_every_slot_filled_once_per_side(self):
-        gl = reconstruct(profile(EX1))
-        for arc, size in enumerate(gl.arc_sizes):
-            assert sorted(
-                slot for lk in gl.links for a, slot in lk.slots
-                if a == arc and lk.region == arc
-            ) == list(range(size))
-            assert sorted(
-                slot for lk in gl.links for a, slot in lk.slots
-                if a == arc and lk.region == arc + 1
-            ) == list(range(size))
+        # the per-slot expansion, on EX1 and the oracle's reference sample
+        profiles = [profile(EX1), *(profile(invert(v)) for v in sample_vectors())]
+        for p in profiles:
+            gl = reconstruct(p)
+            links = gl.links
+            for arc, size in enumerate(gl.arc_sizes):
+                assert sorted(
+                    slot for lk in links for a, slot in lk.slots
+                    if a == arc and lk.region == arc
+                ) == list(range(size)), p
+                assert sorted(
+                    slot for lk in links for a, slot in lk.slots
+                    if a == arc and lk.region == arc + 1
+                ) == list(range(size)), p
+
+    def test_endpoint_totals_mismatch_raises(self):
+        p = dataclasses.replace(profile(EX1), s0_loops=2)
+        with pytest.raises(EndpointMismatchError, match="arc 1 has 6 slots but 4 endpoints"):
+            reconstruct(p)
+
+    def test_overlapping_blocks_raise(self):
+        # endpoint totals still match on every arc, but the blocks overlap
+        p = dataclasses.replace(profile(EX1), above=(-1,), below=(5,))
+        assert all(p.endpoints_on_arc(arc) == (b, b) for arc, b in enumerate(p.beta))
+        with pytest.raises(EndpointMismatchError, match="slot -1 on arc \\d assigned twice"):
+            reconstruct(p)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_VECTORS))
+    def test_golden_gluing_and_render(self, name, capsys):
+        text = GOLDEN_VECTORS[name]
+        gl = reconstruct(profile(invert(parse_coords(text))))
+        assert json.dumps(gl.to_dict(), indent=1) + "\n" == (GOLDEN / f"{name}.json").read_text()
+        assert main(["render", text]) == 0
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.svg").read_text()
 
     def test_json_shape(self):
         d = reconstruct(profile(EX2)).to_dict()

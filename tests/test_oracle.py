@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crosscap.components import (
     BOUNDING_CURVE,
@@ -15,8 +16,10 @@ from crosscap.components import (
 from crosscap.coords import DynnikovCoordinates, TriangleCoordinates, parse_coords
 from crosscap.errors import NonprimitiveContentError, UnsupportedCurveError
 from crosscap.intersect import ElementaryCurve, elementary_coords
-from crosscap.inversion import invert
+from crosscap.inversion import invert, realizable
+from crosscap.large import _span
 from crosscap.oracle import (
+    _census,
     build_diagram,
     compare_point,
     count_crossings,
@@ -24,15 +27,11 @@ from crosscap.oracle import (
     grid_size,
     run_selftest,
 )
+from slot_trace import NEGATIVE_C, sample_vectors, slot_census
+from test_large import all_ranges
 
 EX1 = TriangleCoordinates(n=2, alpha=(1, 5), beta=(6, 4, 4), gamma=4, c1=2, c2=0)
 EX2 = TriangleCoordinates(n=2, alpha=(3, 1), beta=(4, 2, 2), gamma=4, c1=1, c2=1)
-NEGATIVE_C = (
-    "(2; 1,0; -2; -1,-2)",
-    "(0; 0,0; 0; -3,-4)",
-    "(-1; 1,0; 0; -2,1)",
-    "(1,-2; 0,1,-1; 2; -5,0)",
-)
 
 
 def species_count(gl, species, region):
@@ -83,7 +82,7 @@ class TestBuildDiagram:
         a = build_diagram(profile(EX1))
         b = build_diagram(profile(EX1))
         assert [lk.slots for lk in a.links] == [lk.slots for lk in b.links]
-        assert a.left_links == b.left_links
+        assert a == b
 
     def test_closed_components_of_final_example(self):
         # the final example is a single closed curve through 8 links
@@ -143,6 +142,35 @@ class TestCountCrossings:
         dg = build_diagram(profile(invert(v)))
         assert count_crossings(dg, ElementaryCurve.Cij(1, 3)) == 0
         assert count_crossings(dg, ElementaryCurve.Cij(2, 3)) == 2
+
+
+class TestIntervalTracing:
+    def test_census_matches_slot_reference(self):
+        # every range, on the whole n=2 grid, a strided n=3 grid and
+        # negative-c vectors
+        for v in sample_vectors():
+            gl = build_diagram(profile(invert(v)))
+            for rng in all_ranges(v.n):
+                band = _span(rng, v.n)
+                assert _census(gl, *band) == slot_census(gl, *band), (v, rng)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_formulas_match_oracle_at_large_magnitude(self, data):
+        # entries up to 10^9 and n up to 12; small entries now and then
+        # force ties between neighbouring counts
+        n = data.draw(st.integers(2, 12))
+        entry = st.one_of(st.integers(-2, 2), st.integers(-(10**9), 10**9))
+        c_entry = st.one_of(st.integers(0, 2), st.integers(0, 10**9))
+        a = tuple(data.draw(entry) for _ in range(n - 1))
+        b = tuple(data.draw(entry) for _ in range(n))
+        t, c1, c2 = data.draw(entry), data.draw(c_entry), data.draw(c_entry)
+        if not any(a + b + (t, c1, c2)):
+            c1 = 1
+        v = DynnikovCoordinates(n=n, a=a, b=b, t=t, c1=c1, c2=c2)
+        if not realizable(v):
+            v = DynnikovCoordinates(n=n, a=a, b=b, t=t + 1, c1=c1, c2=c2)
+        assert compare_point(v) == []
 
 
 class TestGrid:
