@@ -194,10 +194,7 @@ def _cmd_intersect(args) -> int:
 
 def _cmd_render(args) -> int:
     gl = reconstruct(profile(invert(_read_vector(args))))
-    spec = RenderSpec(
-        width=args.width, height=args.height, spacing=args.spacing
-    )
-    svg = render_svg(gl, spec)
+    svg = render_svg(gl, RenderSpec(width=args.width, height=args.height, spacing=args.spacing))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(svg)

@@ -26,6 +26,7 @@ non-orientable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .coords import TriangleCoordinates
 from .errors import EndpointMismatchError
@@ -121,52 +122,38 @@ class ComponentProfile:
     cross2_noncore_loops: int
     nonprimitive: NonprimitiveCurves
 
+    @cached_property
+    def regions(self) -> tuple[tuple[int, int, int, int, int, str], ...]:
+        """``(above, below, straight cores, core loops, non-core loops,
+        side)`` of each region ``0..n+1``: ``S_0`` holds only loops, on the
+        left, the second crosscap region only loops, on the right, and the
+        loops of a puncture region are its non-core loops."""
+        none = (0,) * (self.n - 1)
+        return (
+            (0, 0, 0, 0, self.s0_loops, "left"),
+            *zip(self.above, self.below, none, none, self.loops, self.sides),
+            (
+                self.cross1_above,
+                self.cross1_below,
+                self.straight_cores,
+                self.cross1_core_loops,
+                self.cross1_noncore_loops,
+                self.cross1_side,
+            ),
+            (0, 0, 0, self.cross2_core_loops, self.cross2_noncore_loops, "right"),
+        )
+
     def endpoints_on_arc(self, arc: int) -> tuple[int, int]:
-        """Component endpoints on arc ``arc`` (0-based) from its two sides."""
-        n = self.n
-        if arc == 0:
-            left = 2 * self.s0_loops
-        elif arc < n:
-            k = arc - 1  # region S_arc on the left
-            left = (
-                self.above[k]
-                + self.below[k]
-                + 2 * (self.loops[k] if self.sides[k] == "left" else 0)
-            )
-        else:
-            left = (
-                self.cross1_above
-                + self.cross1_below
-                + self.straight_cores
-                + 2
-                * (
-                    self.cross1_core_loops + self.cross1_noncore_loops
-                    if self.cross1_side == "left"
-                    else 0
-                )
-            )
-        if arc < n - 1:
-            k = arc  # region S_{arc+1} on the right
-            right = (
-                self.above[k]
-                + self.below[k]
-                + 2 * (self.loops[k] if self.sides[k] == "right" else 0)
-            )
-        elif arc == n - 1:
-            right = (
-                self.cross1_above
-                + self.cross1_below
-                + self.straight_cores
-                + 2
-                * (
-                    self.cross1_core_loops + self.cross1_noncore_loops
-                    if self.cross1_side == "right"
-                    else 0
-                )
-            )
-        else:
-            right = 2 * (self.cross2_core_loops + self.cross2_noncore_loops)
-        return left, right
+        """Component endpoints on arc ``arc`` (0-based) from its two sides:
+        regions ``arc`` and ``arc + 1``, whose loops on that side end on it
+        twice."""
+        (a, b, s, core, noncore, side), (a2, b2, s2, core2, noncore2, side2) = (
+            self.regions[arc : arc + 2]
+        )
+        return (
+            a + b + s + 2 * (core + noncore) * (side == "left"),
+            a2 + b2 + s2 + 2 * (core2 + noncore2) * (side2 == "right"),
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -393,31 +380,19 @@ def reconstruct(prof: ComponentProfile) -> GluingDescription:
 
     block(0, LOOP_LEFT, prof.s0_loops, ((0, 0), (0, prof.s0_loops)), True)
 
-    for region in range(1, n):
-        k = region - 1
-        above, below = prof.above[k], prof.below[k]
-        loops, side = prof.loops[k], prof.sides[k]
+    # Puncture regions and the first crosscap region: puncture regions hold
+    # no cores, so the same layout glues both.
+    for region in range(1, n + 1):
+        above, below, psi, core, noncore, side = prof.regions[region]
         la, ra = region - 1, region
         block(region, ABOVE, above, ((la, 0), (ra, 0)))
         block(region, BELOW, below, ((la, sizes[la] - below), (ra, sizes[ra] - below)))
-        if side == "right":
-            block(region, LOOP_RIGHT, loops, ((la, above), (la, above + loops)), True)
-        elif side == "left":
-            block(region, LOOP_LEFT, loops, ((ra, above), (ra, above + loops)), True)
-
-    # First crosscap region (index n, between arcs n-1 and n).
-    above, below = prof.cross1_above, prof.cross1_below
-    psi = prof.straight_cores
-    core, noncore = prof.cross1_core_loops, prof.cross1_noncore_loops
-    la, ra = n - 1, n
-    block(n, ABOVE, above, ((la, 0), (ra, 0)))
-    block(n, BELOW, below, ((la, sizes[la] - below), (ra, sizes[ra] - below)))
-    loop_arc = ra if prof.cross1_side == "left" else la
-    other_arc = la if loop_arc == ra else ra
-    wrap_base = above + noncore + core + psi
-    block(n, STRAIGHT_CORE, psi, ((loop_arc, above + noncore + core), (other_arc, above)), True)
-    block(n, CORE_LOOP, core, ((loop_arc, above + noncore), (loop_arc, wrap_base)))
-    block(n, NONCORE_LOOP, noncore, ((loop_arc, above), (loop_arc, wrap_base + core)), True)
+        loop_arc, other_arc = (ra, la) if side == "left" else (la, ra)
+        inner = above + noncore + core  # first straight-core slot on the loop arc
+        block(region, STRAIGHT_CORE, psi, ((loop_arc, inner), (other_arc, above)), True)
+        block(region, CORE_LOOP, core, ((loop_arc, above + noncore), (loop_arc, inner + psi)))
+        loop = NONCORE_LOOP if region == n else LOOP_LEFT if side == "left" else LOOP_RIGHT
+        block(region, loop, noncore, ((loop_arc, above), (loop_arc, inner + psi + core)), True)
 
     # Second crosscap region (index n+1, right of arc n).
     core2, noncore2 = prof.cross2_core_loops, prof.cross2_noncore_loops

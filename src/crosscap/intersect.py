@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedCurveError,
 )
 from .inversion import invert
-from .large import RegionRange, _row, _span
+from .large import _row
 
 __all__ = [
     "ElementaryCurve",
@@ -57,6 +57,9 @@ class ElementaryCurve:
     j: int = 0
 
     def __post_init__(self):
+        if type(self.i) is not int or type(self.j) is not int:  # bools too
+            what, value = ("i", self.i) if type(self.i) is not int else ("j", self.j)
+            raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
         if self.kind not in _KINDS:
             raise InvalidParameterError(f"unknown curve kind {self.kind!r}")
         if self.kind == "Cij" and not 1 <= self.i < self.j:
@@ -198,15 +201,17 @@ def elementary_coords(curve: ElementaryCurve, n: int) -> DynnikovCoordinates:
     return DynnikovCoordinates(n=n, a=a, b=tuple(b), t=0, c1=c1, c2=c2)
 
 
-def _curve_range(curve: ElementaryCurve, n: int) -> RegionRange:
-    """The region range a disk-bounding curve encloses (``D`` reads ``C``'s)."""
+def _band(curve: ElementaryCurve, n: int) -> tuple[int, int]:
+    """First and last region of the range a disk-bounding curve encloses
+    (``D`` reads ``C``'s): ``C_{i,j}`` encloses ``S_{i-1,j-1}``,
+    ``C'_{i,k}`` encloses ``S'_{i-1,k}`` and ``C`` encloses ``S'_{n,2}``."""
     if curve.kind == "Cij":
-        return RegionRange.punctures(curve.i - 1, curve.j - 1)
+        return curve.i - 1, curve.j - 1
     if curve.kind == "Cprime1":
-        return RegionRange.through_first(curve.i - 1)
+        return curve.i - 1, n
     if curve.kind == "Cprime2":
-        return RegionRange.through_second(curve.i - 1)
-    return RegionRange.through_second(n)
+        return curve.i - 1, n + 1
+    return n, n + 1
 
 
 def _checked(
@@ -246,7 +251,7 @@ def _formula_values(
     rows: dict[int, list[tuple[int, int, int, int]]] = {}
     out = []
     for curve in curves:
-        first, last = _span(_curve_range(curve, n), n)
+        first, last = _band(curve, n)
         if first not in rows:
             rows[first] = _row(prof, first)
         value = arcs[first] + arcs[last + 1] - 2 * sum(rows[first][last - first])

@@ -24,11 +24,12 @@ count is a function of running minima over regions ``l..m``:
   ``l+1..m`` leaves room for: ``min(max(0, min(A_{l+1..m}) - A_l), ...,
   left loops of region l)``.
 
-``S_0`` counts as a region with no above or below components and its
-nested loops on the left, so every count touching it comes out of the same
-expressions; so does the second crosscap region, which has no above or
-below components and only right loops.  :func:`_row` makes the one pass
-per left end; a range's counts are a lookup into its left end's row.
+The regions come from :attr:`ComponentProfile.regions`, where ``S_0`` is a
+region with no above or below components and its nested loops on the
+left, and the second crosscap region one with only right loops, so every
+count touching them comes out of the same expressions; only non-core loops
+can be large.  :func:`_row` makes the one pass per left end; a range's
+counts are a lookup into its left end's row.
 """
 
 from __future__ import annotations
@@ -54,6 +55,10 @@ class RegionRange:
     crosscap: int = 0
 
     def __post_init__(self):
+        for what in ("l", "m", "crosscap"):
+            value = getattr(self, what)
+            if type(value) is not int:  # bools too
+                raise InvalidRangeError(f"{what} must be an integer, got {value!r}")
         if self.crosscap not in (0, 1, 2):
             raise InvalidRangeError(f"crosscap tag must be 0, 1 or 2, got {self.crosscap}")
         if self.l < 0:
@@ -107,22 +112,15 @@ def _row(p: ComponentProfile, l: int) -> list[tuple[int, int, int, int]]:
     to region ``n-1``, then ``S'_{l,1}`` and ``S'_{l,2}``.  The last entry
     holds zero for the counts ``S'_{l,2}`` leaves undefined.
     """
-    sides = p.sides + (p.cross1_side,)
-    loops = p.loops + (p.cross1_noncore_loops,)
-    above = (0, *p.above, p.cross1_above, 0)
-    below = (0, *p.below, p.cross1_below, 0)
-    right = (
-        0,
-        *(k if s == "right" else 0 for k, s in zip(loops, sides)),
-        p.cross2_noncore_loops,
-    )
-    left_l = p.s0_loops if l == 0 else loops[l - 1] if sides[l - 1] == "left" else 0
-    a_l, b_l = above[l], below[l]
+    regions = p.regions
+    a_l, b_l, _, _, loops_l, side_l = regions[l]
+    left_l = loops_l if side_l == "left" else 0
     over, under = a_l, b_l
-    tail_a, tail_b = above[l + 1], below[l + 1]
-    row = [(over, under, right[l], left_l)]  # one region: all its loops are large
-    for a, b, r in zip(above[l + 1 :], below[l + 1 :], right[l + 1 :]):
-        right_m = min(max(0, over - a), max(0, under - b), r)
+    tail_a, tail_b = regions[l + 1][:2]
+    # one region: all its loops are large
+    row = [(over, under, loops_l if side_l == "right" else 0, left_l)]
+    for a, b, _, _, loops, side in regions[l + 1 :]:
+        right_m = min(max(0, over - a), max(0, under - b), loops if side == "right" else 0)
         over, under = min(over, a), min(under, b)
         tail_a, tail_b = min(tail_a, a), min(tail_b, b)
         left_m = min(max(0, tail_a - a_l), max(0, tail_b - b_l), left_l)

@@ -52,7 +52,7 @@ from .components import (
 )
 from .coords import DynnikovCoordinates, format_coords
 from .errors import InvalidParameterError, NonprimitiveContentError, UnsupportedCurveError
-from .intersect import ElementaryCurve, _checked, _curve_range, _formula_values
+from .intersect import ElementaryCurve, _band, _checked, _formula_values
 from .inversion import invert, realizable
 from .large import RegionRange, _span
 
@@ -76,14 +76,6 @@ def build_diagram(prof: ComponentProfile) -> GluingDescription:
     bundles, never from the profile's counts.
     """
     return reconstruct(prof)
-
-
-def _right_turn(region: int, n: int) -> str:
-    return LOOP_RIGHT if region <= n - 1 else NONCORE_LOOP
-
-
-def _left_turn(region: int, n: int) -> str:
-    return LOOP_LEFT if region <= n - 1 else NONCORE_LOOP
 
 
 _slot = itemgetter(0)
@@ -113,10 +105,11 @@ def _census(gl: GluingDescription, first: int, last: int) -> Counter:
     left_arc = first - 1 if first >= 1 else None
     right_arc = last if last <= n else None
     span = last - first
-    # where a chain that comes back to its starting arc must turn
+    # where a chain that comes back to its starting arc must turn: around a
+    # puncture, or around a crosscap as a non-core loop
     turns = {
-        left_arc: (last, _right_turn(last, n), "right"),
-        right_arc: (first, _left_turn(first, n), "left"),
+        left_arc: (last, LOOP_RIGHT if last < n else NONCORE_LOOP, "right"),
+        right_arc: (first, LOOP_LEFT if first < n else NONCORE_LOOP, "left"),
     }
     counts: Counter = Counter()
     # (slots lo..hi-1, the bundle ends they enter, the arc the chain
@@ -189,7 +182,7 @@ def _traced_values(gl: GluingDescription, curves: tuple[ElementaryCurve, ...]) -
     censuses: dict[tuple[int, int], Counter] = {}
     out = []
     for curve in curves:
-        band = _span(_curve_range(curve, n), n)
+        band = _band(curve, n)
         if band not in censuses:
             censuses[band] = _census(gl, *band)
         crossings = 2 * censuses[band][None]
@@ -237,6 +230,9 @@ def large_census(gl: GluingDescription, rng: RegionRange) -> tuple[int, int, int
 # ---------------------------------------------------------------------------
 # Grid self-test: formulas vs. tracing on every realizable vector in a box.
 # ---------------------------------------------------------------------------
+
+# divergences a sweep keeps and reports
+_MAX_DIVERGENCES = 5
 
 
 @dataclass(frozen=True)
@@ -330,12 +326,12 @@ def compare_point(coords: DynnikovCoordinates) -> list[Divergence]:
 
 
 def _sweep_chunk(args: tuple) -> tuple[int, list[Divergence]]:
-    n, bound, cmax, start, stop, max_div = args
+    n, bound, cmax, start, stop = args
     checked = 0
     divergences: list[Divergence] = []
     for coords in _points(n, bound, cmax, range(start, stop)):
         checked += 1
-        divergences += compare_point(coords)[: max_div - len(divergences)]
+        divergences += compare_point(coords)[: _MAX_DIVERGENCES - len(divergences)]
     return checked, divergences
 
 
@@ -344,14 +340,14 @@ def run_selftest(
     bound: int = 2,
     cmax: int | None = None,
     jobs: int = 1,
-    max_divergences: int = 5,
 ) -> SelftestReport:
     """Sweep the grid comparing every formula against the tracing oracle.
 
     ``cmax`` defaults to ``bound``.  With ``jobs > 1`` the grid is sharded
     across worker processes (points are independent).  A negative bound and
     a box with no point to check both raise :class:`InvalidParameterError`,
-    so an empty sweep never reports agreement.
+    so an empty sweep never reports agreement.  The report keeps the first
+    few divergences found.
     """
     if cmax is None:
         cmax = bound
@@ -361,13 +357,13 @@ def run_selftest(
     report = SelftestReport(n=n, bound=bound, cmax=cmax, points_total=total)
     t0 = time.perf_counter()
     if jobs <= 1:
-        checked, divs = _sweep_chunk((n, bound, cmax, 0, total, max_divergences))
+        checked, divs = _sweep_chunk((n, bound, cmax, 0, total))
         report.points_checked = checked
         report.divergences = divs
     else:
         step = max(1, total // (jobs * 8))
         chunks = [
-            (n, bound, cmax, lo, min(lo + step, total), max_divergences)
+            (n, bound, cmax, lo, min(lo + step, total))
             for lo in range(0, total, step)
         ]
         with Pool(jobs) as pool:
@@ -379,6 +375,6 @@ def run_selftest(
             f"the box (n={n}, bound={bound}, c in [0,{cmax}]) holds no realizable "
             "nonzero vector: nothing to check"
         )
-    report.divergences = report.divergences[:max_divergences]
+    report.divergences = report.divergences[:_MAX_DIVERGENCES]
     report.elapsed = time.perf_counter() - t0
     return report

@@ -10,8 +10,7 @@ diffable in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
 from .components import (
     ABOVE,
@@ -29,7 +28,10 @@ from .errors import InvalidParameterError
 
 __all__ = ["RenderSpec", "render_svg"]
 
-_DEFAULT_STYLES: dict[str, str] = {
+_SLOT_GAP = 9
+_MARKER_RADIUS = 16
+# stroke colour of each species
+_STYLES: dict[str, str] = {
     ABOVE: "#1f77b4",
     BELOW: "#2ca02c",
     LOOP_LEFT: "#d62728",
@@ -44,23 +46,18 @@ _DEFAULT_STYLES: dict[str, str] = {
 
 @dataclass(frozen=True)
 class RenderSpec:
-    """Canvas geometry and per-species stroke colours.
-
-    ``width``/``height`` of 0 mean size-to-content.
-    """
+    """Canvas geometry: ``width``/``height`` of 0 mean size-to-content, and
+    ``spacing`` is the distance between neighbouring markers."""
 
     width: int = 0
     height: int = 0
     spacing: int = 90
-    slot_gap: int = 9
-    marker_radius: int = 16
-    styles: Mapping[str, str] = field(default_factory=lambda: dict(_DEFAULT_STYLES))
 
     def __post_init__(self):
         if self.width < 0 or self.height < 0:
             raise InvalidParameterError("canvas dimensions cannot be negative")
-        if self.spacing <= 0 or self.slot_gap <= 0 or self.marker_radius <= 0:
-            raise InvalidParameterError("spacing, slot gap and marker radius must be positive")
+        if self.spacing <= 0:
+            raise InvalidParameterError("spacing must be positive")
 
 
 def _fmt(v: float) -> str:
@@ -106,7 +103,7 @@ def render_svg(gl: GluingDescription, spec: RenderSpec | None = None) -> str:
     """One SVG 1.1 document for the glued diagram."""
     spec = spec or RenderSpec()
     n = gl.n
-    sp, gap, rad = spec.spacing, spec.slot_gap, spec.marker_radius
+    sp, gap, rad = spec.spacing, _SLOT_GAP, _MARKER_RADIUS
 
     # Markers sit at positions 1..n (punctures) and n+1, n+2 (crosscaps);
     # arc k (0-based) lies between markers k+1 and k+2.
@@ -144,11 +141,8 @@ def render_svg(gl: GluingDescription, spec: RenderSpec | None = None) -> str:
         cv.line(x - off, cy - off, x + off, cy + off, "#000000", width=1.0)
         cv.line(x - off, cy + off, x + off, cy - off, "#000000", width=1.0)
 
-    styles = dict(_DEFAULT_STYLES)
-    styles.update(spec.styles)
-
     for lk in gl.links:
-        color = styles.get(lk.species, "#000000")
+        color = _STYLES[lk.species]
         region = lk.region
         if lk.species == CORE_CURVE:
             x = marker_x(n + 1 if region == n else n + 2)
@@ -172,10 +166,7 @@ def render_svg(gl: GluingDescription, spec: RenderSpec | None = None) -> str:
                 color,
             )
             continue
-        wraps_marker = (
-            lk.species in (LOOP_LEFT, LOOP_RIGHT) or lk.species == NONCORE_LOOP
-        )
-        if wraps_marker:
+        if lk.species in (LOOP_LEFT, LOOP_RIGHT, NONCORE_LOOP):
             # Bulge past the marker from the anchor arc.
             (a1, s1), (a2, s2) = lk.slots
             x = arc_x(a1)

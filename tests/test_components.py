@@ -79,6 +79,33 @@ class TestProfile:
         assert p.straight_cores == 1
         assert (p.cross2_noncore_loops, p.cross2_core_loops) == (0, 1)
 
+    def test_region_table(self):
+        # (above, below, straight cores, core loops, non-core loops, side)
+        # of regions 0..n+1
+        assert profile(EX1).regions == (
+            (0, 0, 0, 0, 3, "left"),
+            (0, 4, 0, 0, 1, "right"),
+            (0, 2, 2, 0, 0, "none"),
+            (0, 0, 0, 0, 2, "right"),
+        )
+        assert profile(EX2).regions == (
+            (0, 0, 0, 0, 2, "left"),
+            (2, 0, 0, 0, 1, "right"),
+            (1, 0, 1, 0, 0, "none"),
+            (0, 0, 0, 1, 0, "right"),
+        )
+        p = profile(invert(parse_coords(GOLDEN_VECTORS["n3_left"])))
+        assert p.cross1_side == "left"
+        assert p.regions == (
+            (0, 0, 0, 0, 4, "left"),
+            (4, 0, 0, 0, 2, "right"),
+            (2, 2, 0, 0, 2, "left"),
+            (2, 4, 2, 1, 0, "left"),
+            (0, 0, 0, 3, 2, "right"),
+        )
+        # a replaced profile computes its own table
+        assert dataclasses.replace(p, above=(5, 2)).regions[1] == (5, 0, 0, 0, 2, "right")
+
     def test_pure_nonprimitive_core(self):
         tri = TriangleCoordinates(n=2, alpha=(0, 0), beta=(0, 0, 0), gamma=0, c1=-1, c2=0)
         p = profile(tri)

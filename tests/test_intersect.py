@@ -19,7 +19,10 @@ from crosscap.intersect import (
     intersect_elementary,
     parse_curve,
 )
+from crosscap.components import profile
 from crosscap.inversion import invert, realizable
+from crosscap.large import RegionRange, counts_for_range
+from test_large import random_vector
 
 FINAL = parse_coords("(-1; 1,0; 1; 1,1)")
 
@@ -163,6 +166,22 @@ class TestErrors:
         with pytest.raises(InvalidParameterError):
             intersect_elementary(FINAL, ElementaryCurve.Cij(1, 3))
 
+    @pytest.mark.parametrize(
+        "i, j", [(1, 2.0), (1.0, 2), (True, 2), (1, True), (1, "2"), (None, 2)]
+    )
+    def test_non_integer_indices_rejected(self, i, j):
+        # floats used to reach the formulas and fail there on tuple indexing
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
+            intersect_elementary(FINAL, ElementaryCurve.Cij(i, j))
+
+    def test_non_integer_index_of_one_index_kinds_rejected(self):
+        with pytest.raises(InvalidParameterError, match="i must be an integer"):
+            ElementaryCurve.Cprime1(1.5)
+        with pytest.raises(InvalidParameterError, match="i must be an integer"):
+            ElementaryCurve.Cprime2(False)
+        with pytest.raises(InvalidParameterError, match="j must be an integer"):
+            ElementaryCurve.core(1.0)
+
 
 def _sample_grid(n, bound, step):
     dims = 2 * n + 2
@@ -209,3 +228,37 @@ class TestStructuralProperties:
             for curve in catalog(n):
                 v = elementary_coords(curve, n)
                 assert intersect_elementary(v, curve) == 0, curve
+
+
+def paper_range(curve, n):
+    """The region range the paper pairs with a disk-bounding curve."""
+    if curve.kind == "Cij":
+        return RegionRange.punctures(curve.i - 1, curve.j - 1)
+    if curve.kind == "Cprime1":
+        return RegionRange.through_first(curve.i - 1)
+    if curve.kind == "Cprime2":
+        return RegionRange.through_second(curve.i - 1)
+    assert curve.kind == "C"
+    return RegionRange.through_second(n)
+
+
+class TestPaperRanges:
+    @pytest.mark.parametrize("n", [2, 3, 5, 12])
+    def test_formulas_read_the_papers_range(self, n):
+        # each value is the strand total on the range's boundary arcs minus
+        # twice its large counts; the oracle shares the formulas' choice of
+        # band, so only this test sees a curve read off the wrong range
+        rnd = random.Random(n)
+        for _ in range(60):
+            v = random_vector(rnd, n, rnd.choice((3, 10**6)))
+            tri = invert(v)
+            p = profile(tri)
+            for curve, value in elementary_values(v):
+                if curve.kind == "D":
+                    continue
+                rng = paper_range(curve, n)
+                left = tri.beta[rng.l - 1] if rng.l else 0
+                right = (tri.beta[rng.m], tri.beta[n], 0)[rng.crosscap]
+                c = counts_for_range(p, rng)
+                large = (c.over or 0) + (c.under or 0) + c.right_loops + (c.left_loops or 0)
+                assert value == left + right - 2 * large, (v, curve)

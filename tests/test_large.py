@@ -57,8 +57,9 @@ def fresh_min_counts(p, rng):
     return over, under, right, left
 
 
-def random_profile(rnd, n, magnitude):
-    """A seeded realizable profile; small entries now and then force ties."""
+def random_vector(rnd, n, magnitude):
+    """A seeded realizable vector with ``c >= 0``; small entries now and
+    then force ties."""
 
     def entry():
         return rnd.randint(-2, 2) if rnd.random() < 0.3 else rnd.randint(-magnitude, magnitude)
@@ -71,7 +72,7 @@ def random_profile(rnd, n, magnitude):
     v = DynnikovCoordinates(n=n, a=a, b=b, t=t, c1=c1, c2=c2)
     if not realizable(v):
         v = DynnikovCoordinates(n=n, a=a, b=b, t=t + 1, c1=c1, c2=c2)
-    return profile(invert(v))
+    return v
 
 
 EX1 = profile(TriangleCoordinates(n=2, alpha=(1, 5), beta=(6, 4, 4), gamma=4, c1=2, c2=0))
@@ -100,6 +101,21 @@ class TestOverUnder:
             RegionRange.punctures(2, 1)
         with pytest.raises(InvalidRangeError):
             RegionRange(l=-1)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RegionRange.punctures(0, 0.0),
+            lambda: RegionRange.through_first(1.0),
+            lambda: RegionRange.through_second("1"),
+            lambda: RegionRange(l=True, m=1),
+            lambda: RegionRange(l=0, m=1, crosscap=False),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, make):
+        # floats used to fail on tuple indexing, bools passed silently
+        with pytest.raises(InvalidRangeError, match="must be an integer"):
+            make()
 
 
 class TestRightLoops:
@@ -171,7 +187,7 @@ class TestRowsAgainstFreshMinima:
     def test_every_range_of_every_left_end(self, n, cases):
         rnd = random.Random(n)
         for _ in range(cases):
-            p = random_profile(rnd, n, 10**9)
+            p = profile(invert(random_vector(rnd, n, 10**9)))
             for rng in all_ranges(n):
                 c = counts_for_range(p, rng)
                 got = (c.over, c.under, c.right_loops, c.left_loops)
