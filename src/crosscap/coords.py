@@ -28,7 +28,6 @@ is an immutable value object, safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 from .errors import (
     CoordinateSyntaxError,
@@ -48,22 +47,29 @@ __all__ = [
 ]
 
 
-def _require_int(value, what: str):
-    """Reject bools and everything that is not an exact integer."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DimensionMismatchError(f"{what} must be an integer, got {value!r}")
+def _ints(values, names, error: type = DimensionMismatchError) -> tuple[int, ...]:
+    """``values`` as a tuple, checked in one pass to hold exact integers:
+    ``type(x) is int``, so bools and other ``int`` subclasses are rejected.
 
-
-def _as_int_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
-    try:
-        out = tuple(values)
-    except TypeError:  # not iterable
-        raise DimensionMismatchError(
-            f"{what} must be a list of integers, got {values!r}"
-        ) from None
-    for v in out:
-        _require_int(v, f"each {what} entry")
-    return out
+    ``names`` names each value in turn, or is the name of a whole block
+    (``"a"``), which may then be any iterable.  The message is formatted
+    only on failure and names the first bad value.
+    """
+    block = type(names) is str
+    if block:
+        try:
+            values = tuple(values)
+        except TypeError:  # not iterable
+            raise error(f"{names} must be a list of integers, got {values!r}") from None
+    for x in values:
+        if type(x) is not int:
+            break
+    else:
+        return values
+    if block:
+        raise error(f"each {names} entry must be an integer, got {x!r}")
+    name = next(name for name, v in zip(names, values) if type(v) is not int)
+    raise error(f"{name} must be an integer, got {x!r}")
 
 
 def _fields(data: dict, keys: tuple[str, ...]) -> list:
@@ -96,12 +102,11 @@ class DynnikovCoordinates:
     c2: int
 
     def __post_init__(self):
-        for what in ("n", "t", "c1", "c2"):
-            _require_int(getattr(self, what), what)
+        _ints((self.n, self.t, self.c1, self.c2), ("n", "t", "c1", "c2"))
         if self.n < 2:
             raise DimensionMismatchError(f"puncture count must be >= 2, got {self.n}")
-        object.__setattr__(self, "a", _as_int_tuple(self.a, "a"))
-        object.__setattr__(self, "b", _as_int_tuple(self.b, "b"))
+        object.__setattr__(self, "a", _ints(self.a, "a"))
+        object.__setattr__(self, "b", _ints(self.b, "b"))
         if len(self.a) != self.n - 1:
             raise DimensionMismatchError(
                 f"a must have {self.n - 1} entries for n={self.n}, got {len(self.a)}"
@@ -163,13 +168,12 @@ class TriangleCoordinates:
     c2: int
 
     def __post_init__(self):
-        for what in ("n", "gamma", "c1", "c2"):
-            _require_int(getattr(self, what), what)
+        _ints((self.n, self.gamma, self.c1, self.c2), ("n", "gamma", "c1", "c2"))
         n = self.n
         if n < 2:
             raise DimensionMismatchError(f"puncture count must be >= 2, got {n}")
-        object.__setattr__(self, "alpha", _as_int_tuple(self.alpha, "alpha"))
-        object.__setattr__(self, "beta", _as_int_tuple(self.beta, "beta"))
+        object.__setattr__(self, "alpha", _ints(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", _ints(self.beta, "beta"))
         if len(self.alpha) != 2 * n - 2:
             raise DimensionMismatchError(
                 f"alpha must have {2 * n - 2} entries for n={n}, got {len(self.alpha)}"
@@ -271,7 +275,8 @@ class _Scanner:
         if self.peek() in "+-":
             self.pos += 1
         digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII digits only: str.isdigit() also holds for "²", which int() rejects
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == digits:
             raise CoordinateSyntaxError("expected an integer", start)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .components import ComponentProfile, profile
-from .coords import DynnikovCoordinates, TriangleCoordinates
+from .coords import DynnikovCoordinates, TriangleCoordinates, _ints
 from .errors import (
     InvalidParameterError,
     NonprimitiveContentError,
@@ -57,9 +57,7 @@ class ElementaryCurve:
     j: int = 0
 
     def __post_init__(self):
-        if type(self.i) is not int or type(self.j) is not int:  # bools too
-            what, value = ("i", self.i) if type(self.i) is not int else ("j", self.j)
-            raise InvalidParameterError(f"{what} must be an integer, got {value!r}")
+        _ints((self.i, self.j), ("i", "j"), InvalidParameterError)
         if self.kind not in _KINDS:
             raise InvalidParameterError(f"unknown curve kind {self.kind!r}")
         if self.kind == "Cij" and not 1 <= self.i < self.j:

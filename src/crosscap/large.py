@@ -37,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .components import ComponentProfile
+from .coords import _ints
 from .errors import InvalidRangeError
 
 __all__ = [
@@ -55,10 +56,7 @@ class RegionRange:
     crosscap: int = 0
 
     def __post_init__(self):
-        for what in ("l", "m", "crosscap"):
-            value = getattr(self, what)
-            if type(value) is not int:  # bools too
-                raise InvalidRangeError(f"{what} must be an integer, got {value!r}")
+        _ints((self.l, self.m, self.crosscap), ("l", "m", "crosscap"), InvalidRangeError)
         if self.crosscap not in (0, 1, 2):
             raise InvalidRangeError(f"crosscap tag must be 0, 1 or 2, got {self.crosscap}")
         if self.l < 0:

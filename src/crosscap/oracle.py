@@ -2,10 +2,10 @@
 
 This module re-derives intersection numbers without the min-formulas: it
 assembles the multicurve from its component profile (via the unique
-crossing-free gluing), walks every strand of the relevant region band --
-whole bundles of parallel strands at a time -- and classifies each traced
-chain by the shape of its itinerary.  A chain avoids a disk-bounding
-elementary curve exactly when it clears the band on one side:
+crossing-free gluing) and walks its strands away from each boundary arc
+of a region band -- whole bundles of parallel strands at a time.  A chain
+avoids a disk-bounding elementary curve exactly when it clears the band
+on one side:
 
 * it runs above (or below) the whole band, link after link;
 * or it enters from the left arc, runs above, turns around at the far end
@@ -14,9 +14,11 @@ elementary curve exactly when it clears the band on one side:
 * or the mirror image anchored on the right arc, turning in the first
   region.
 
-Every other chain crosses the curve exactly twice.  Crossings with the
-curve threading both crosscaps follow from the traced crossing count with
-the both-crosscaps disk and the core passages counted over the glued
+:func:`_row` walks away from an arc once for every band the arc bounds.
+Every other chain crosses the curve exactly twice, so the crossings are
+the strand ends on the band's arcs minus twice the chains that clear it.
+Crossings with the curve threading both crosscaps follow from the count
+with the both-crosscaps disk and the core passages counted over the glued
 bundles, by the same case split the closed formula uses.
 
 Nothing here looks at the range min-formulas, so agreement between the two
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 from operator import itemgetter
@@ -44,7 +45,6 @@ from .components import (
     LOOP_RIGHT,
     NONCORE_LOOP,
     STRAIGHT_CORE,
-    Bundle,
     ComponentProfile,
     GluingDescription,
     profile,
@@ -72,7 +72,7 @@ def build_diagram(prof: ComponentProfile) -> GluingDescription:
     """Assemble the crossing-free diagram of the profile.
 
     This is :func:`crosscap.components.reconstruct`; the oracle traces the
-    gluing as it is and censuses everything it needs from the assembled
+    gluing as it is and counts everything it needs from the assembled
     bundles, never from the profile's counts.
     """
     return reconstruct(prof)
@@ -81,46 +81,28 @@ def build_diagram(prof: ComponentProfile) -> GluingDescription:
 _slot = itemgetter(0)
 
 
-def _census(gl: GluingDescription, first: int, last: int) -> Counter:
-    """Traced chains of the band ``first..last`` by the large species they
-    are (``"over"``, ``"under"``, ``"right"``, ``"left"``); ``None`` counts
-    the chains that cross the band's curve.
+def _row(gl: GluingDescription, arc: int, rightward: bool) -> list[list[int]]:
+    """``[over, under, loops]`` per band bounded by ``arc`` on the left
+    (``rightward``) or the right; entry ``p`` is the band of the ``p + 1``
+    regions next to the arc, ``loops`` its right (left) loops.
 
-    Strands are traced as intervals: each boundary arc of the band starts
-    as one interval, which splits only where the bundle across the next
-    arc changes, and each piece is classified once for all its strands.
-    Every chain is met from both of its ends and is the same species read
-    either way, so the counts are halved.
-
-    A chain clears a band of ``span + 1`` regions only in the shapes the
-    module docstring lists: every link but the middle one (position
-    ``span``) runs above or below, those before the middle like the first
-    link and those after it the other way.  A piece is followed only while
-    it keeps that shape, and for at most ``2 * span + 1`` links: a chain
-    still inside the band after that cannot clear it, so it crosses.  A
-    piece carries its link count, its first link's species and its middle
-    link, never the whole chain.
+    The arc starts as one interval of strands, split only where the bundle
+    across the next arc changes; each piece is followed once.  A piece that
+    has run above (below) through ``p + 1`` regions is an over (under)
+    chain of entry ``p``.  A piece whose upper arm turns in region ``p``
+    (around a puncture, or around a crosscap without entering it) and runs
+    below all the way back is one loop of entry ``p``: each loop is counted
+    from its upper arm only, a one-region loop at end 0 of its bundle.
+    Every other piece crosses what it has not cleared and is dropped.
     """
-    n, bundles = gl.n, gl.bundles
-    left_arc = first - 1 if first >= 1 else None
-    right_arc = last if last <= n else None
-    span = last - first
-    # where a chain that comes back to its starting arc must turn: around a
-    # puncture, or around a crosscap as a non-core loop
-    turns = {
-        left_arc: (last, LOOP_RIGHT if last < n else NONCORE_LOOP, "right"),
-        right_arc: (first, LOOP_LEFT if first < n else NONCORE_LOOP, "left"),
-    }
-    counts: Counter = Counter()
-    # (slots lo..hi-1, the bundle ends they enter, the arc the chain
-    #  started from, links so far, first link's species, middle link)
-    todo = [
-        (0, gl.arc_sizes[arc], sides[arc], arc, 0, None, None)
-        for arc, sides in ((left_arc, gl.right_ends), (right_arc, gl.left_ends))
-        if arc is not None
-    ]
+    bundles = gl.bundles
+    row = [[0, 0, 0] for _ in range(gl.n + 1 - arc if rightward else arc + 1)]
+    turn_species = (LOOP_RIGHT if rightward else LOOP_LEFT, NONCORE_LOOP)
+    ends = (gl.right_ends if rightward else gl.left_ends)[arc]
+    # (slots lo..hi-1, the bundle ends they enter, row entry, out species, links to run back)
+    todo = [(0, gl.arc_sizes[arc], ends, 0, None, 0)]
     while todo:
-        lo, hi, ends, origin, p, head, mid = todo.pop()
+        lo, hi, ends, p, head, back = todo.pop()
         i = bisect_right(ends, lo, key=_slot) - 1 if lo else 0
         while lo < hi:
             start, bid, end = ends[i]
@@ -128,64 +110,66 @@ def _census(gl: GluingDescription, first: int, last: int) -> Counter:
             b = bundles[bid]
             top = min(hi, start + b.width)
             species = b.species
-            if p == 0:
-                head = species
-            if p == span:
-                mid = b
-            arc, other = b.ends[1 - end]
-            if p != span and (species not in (ABOVE, BELOW) or (species == head) != (p < span)):
-                counts[None] += top - lo
-            elif arc == left_arc or arc == right_arc:
-                counts[_cleared(arc == origin, p, span, head, mid, turns[origin])] += top - lo
-            elif p == 2 * span:
-                counts[None] += top - lo
-            else:
+            step = None
+            if back:  # on the way back: below, or it crosses
+                if species == BELOW and back > 1:
+                    step = p, head, back - 1
+                elif species == BELOW:
+                    row[p][2] += top - lo
+            elif species in turn_species:
+                if p and head == ABOVE:
+                    step = p, head, p
+                elif not p and end == 0:
+                    row[0][2] += top - lo
+            elif species in (ABOVE, BELOW) and (not p or species == head):
+                row[p][species == BELOW] += top - lo
+                step = p + 1, species, 0
+            if step:
+                out, other = b.ends[1 - end]
                 if b.reversed:
                     lo2, hi2 = other + start + b.width - top, other + start + b.width - lo
                 else:
                     lo2, hi2 = other + lo - start, other + top - start
-                across = gl.right_ends if b.region == arc else gl.left_ends
-                todo.append((lo2, hi2, across[arc], origin, p + 1, head, mid))
+                across = gl.right_ends if b.region == out else gl.left_ends
+                todo.append((lo2, hi2, across[out], *step))
             lo = top
-    for kind in counts:
-        counts[kind] //= 2
-    return counts
+    return row
 
 
-def _cleared(
-    back: bool, p: int, span: int, head: str, mid: Bundle | None, turn: tuple[int, str, str]
-) -> str | None:
-    """The large species of a chain that left the band after ``p + 1``
-    links in the clearing shape, or ``None`` when it crosses.
-
-    ``back`` tells whether it left by the arc it started from; ``turn`` is
-    ``(region, species, kind)`` of the turn such a chain needs.
+def _band_counts(gl: GluingDescription, rows: dict, first: int, last: int) -> tuple:
+    """``(over, under, right, left, crossings)`` of the band
+    ``first..last``: over, under and right loops from the rightward row of
+    its left arc, left loops from the leftward row of its right arc (none
+    without the arc), traced into ``rows`` on first use.  Every chain has
+    both ends on the arcs, and each one that does not clear the band
+    crosses the curve twice.
     """
-    if not back:  # over or under: one species all the way across
-        if p <= span and (mid is None or mid.species == head) and head in (ABOVE, BELOW):
-            return "over" if head == ABOVE else "under"
-        return None
-    region, species, kind = turn
-    if p == 2 * span and mid.region == region and mid.species == species:
-        return kind
-    return None
+    over = under = right = left = ends = 0
+    for arc, rightward in ((first - 1, True), (last, False)):
+        if 0 <= arc <= gl.n:
+            ends += gl.arc_sizes[arc]
+            if (arc, rightward) not in rows:
+                rows[arc, rightward] = _row(gl, arc, rightward)
+            entry = rows[arc, rightward][last - first]
+            if rightward:
+                over, under, right = entry
+            else:
+                left = entry[2]
+    return over, under, right, left, ends - 2 * (over + under + right + left)
 
 
 def _traced_values(gl: GluingDescription, curves: tuple[ElementaryCurve, ...]) -> list[int]:
-    """Traced crossings with curves that passed their checks, one census
-    per distinct band (``D`` reads ``C``'s).
+    """Traced crossings with curves that passed their checks, one row per
+    boundary arc and direction (``D`` reads ``C``'s band).
 
     ``D`` then takes the core passages counted over the glued bundles, by
     the same case split the closed formula uses.
     """
     n = gl.n
-    censuses: dict[tuple[int, int], Counter] = {}
+    rows: dict[tuple[int, bool], list[list[int]]] = {}
     out = []
     for curve in curves:
-        band = _band(curve, n)
-        if band not in censuses:
-            censuses[band] = _census(gl, *band)
-        crossings = 2 * censuses[band][None]
+        crossings = _band_counts(gl, rows, *_band(curve, n))[4]
         if curve.kind == "D":
             passes = [0, 0]  # core passages through crosscaps 1 and 2 (regions n, n+1)
             for b in gl.bundles:
@@ -218,13 +202,11 @@ def count_crossings(gl: GluingDescription, curve: ElementaryCurve) -> int:
 
 
 def large_census(gl: GluingDescription, rng: RegionRange) -> tuple[int, int, int, int]:
-    """Large components of a range, counted by tracing instead of formulas.
-
-    Returns ``(over, under, right_loops, left_loops)``.
-    """
+    """Large components of a range, counted by tracing instead of formulas:
+    ``(over, under, right_loops, left_loops)``, read off the rows traced
+    from the range's boundary arcs."""
     rng.check(gl.n)
-    census = _census(gl, *_span(rng, gl.n))
-    return census["over"], census["under"], census["right"], census["left"]
+    return _band_counts(gl, {}, *_span(rng, gl.n))[:4]
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,11 @@ class TestErrors:
         assert code == 1
         assert "error" in err
 
+    def test_non_ascii_digit_exits_one(self, capsys):
+        code, _, err = run(capsys, "invert", "(²; 1,0; -2; 2,0)")
+        assert code == 1
+        assert err.startswith("crosscap: error:") and "position 1" in err
+
     def test_wrong_n_exits_one(self, capsys):
         code, _, err = run(capsys, "invert", "(2; 1,0; -2; 2,0)", "--n", "3")
         assert code == 1

@@ -60,6 +60,17 @@ class TestDynnikovCoordinates:
         with pytest.raises(DimensionMismatchError, match=field):
             DynnikovCoordinates(**fields)
 
+    @pytest.mark.parametrize("field", ["n", "t", "c2", "a", "b"])
+    def test_int_subclasses_rejected(self, field):
+        class Int(int):
+            pass
+
+        fields = dict(n=2, a=(1,), b=(1, 0), t=0, c1=0, c2=0)
+        value = fields[field]
+        fields[field] = tuple(map(Int, value)) if isinstance(value, tuple) else Int(value)
+        with pytest.raises(DimensionMismatchError, match=f"{field}.* must be an integer"):
+            DynnikovCoordinates(**fields)
+
     def test_from_dict_rejects_instead_of_truncating(self):
         data = {"n": 2, "a": [2], "b": [1, 0], "t": 2.7, "c": [2, 0]}
         with pytest.raises(DimensionMismatchError, match="t must be an integer"):
@@ -95,6 +106,15 @@ class TestTextFormat:
         with pytest.raises(CoordinateSyntaxError) as err:
             parse_coords("(1; 1,x; 0; 0,0)")
         assert err.value.pos == 6
+
+    @pytest.mark.parametrize(
+        "text, pos", [("(²; 1,0; -2; 2,0)", 1), ("(2²; 1,0; -2; 2,0)", 2), ("(2; 1,٣; -2; 2,0)", 6)]
+    )
+    def test_non_ascii_digit_is_syntax_error(self, text, pos):
+        # str.isdigit() holds for these; int() rejects "²" and would read "٣" as 3
+        with pytest.raises(CoordinateSyntaxError) as err:
+            parse_coords(text)
+        assert err.value.pos == pos
 
     def test_b_block_length_fixes_n(self):
         with pytest.raises(DimensionMismatchError):
