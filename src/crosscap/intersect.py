@@ -22,7 +22,9 @@ core crossing numbers.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .components import ComponentProfile, profile
 from .coords import DynnikovCoordinates, TriangleCoordinates, _ints
@@ -44,6 +46,10 @@ __all__ = [
 ]
 
 _KINDS = ("Cij", "Cprime1", "Cprime2", "C", "D", "core", "bounding")
+# ASCII digits only: int() also takes "٢" and "0_2"
+_INDEX = re.compile(r"[+-]?[0-9]+")
+# distinct catalogs kept: a process rarely uses more than a few puncture counts
+_CATALOGS_KEPT = 16
 
 
 @dataclass(frozen=True)
@@ -138,13 +144,10 @@ def parse_curve(text: str) -> ElementaryCurve:
     head, _, tail = text.strip().partition(":")
 
     def indices(count: int, what: str) -> list[int]:
-        try:
-            values = [int(part) for part in tail.split(",")]
-        except ValueError:
-            values = []
-        if len(values) != count:
+        parts = [part.strip() for part in tail.split(",")]
+        if len(parts) != count or not all(_INDEX.fullmatch(part) for part in parts):
             raise InvalidParameterError(f"{head} needs {what}, got {text!r}")
-        return values
+        return [int(part) for part in parts]
 
     if head == "Cij":
         return ElementaryCurve.Cij(*indices(2, "two integer indices"))
@@ -157,8 +160,9 @@ def parse_curve(text: str) -> ElementaryCurve:
     raise InvalidParameterError(f"cannot parse curve spec {text!r}")
 
 
+@lru_cache(maxsize=_CATALOGS_KEPT, typed=True)
 def catalog(n: int, include_nonprimitive: bool = False) -> tuple[ElementaryCurve, ...]:
-    """Every elementary curve on the surface with ``n`` punctures."""
+    """Every elementary curve on the surface with ``n`` punctures (built once per argument)."""
     curves = [
         ElementaryCurve.Cij(i, j) for i in range(1, n) for j in range(i + 1, n + 1)
     ]

@@ -17,12 +17,14 @@ region (``n``) and the second (``n+1``).  For a fixed left end ``l`` every
 count is a function of running minima over regions ``l..m``:
 
 * over/under are the running minima of the above/below counts;
-* right loops are the loops of region ``m`` that the last step of the
-  minimum does not cut off: ``min(max(0, over_{m-1} - A_m),
-  max(0, under_{m-1} - B_m), right loops of region m)``;
-* left loops are the loops of region ``l`` that the minimum over
-  ``l+1..m`` leaves room for: ``min(max(0, min(A_{l+1..m}) - A_l), ...,
-  left loops of region l)``.
+* right loops are large only where both minima strictly fall at region
+  ``m`` (``A_m < over_{m-1}`` and ``B_m < under_{m-1}``), and then
+  ``min(over_{m-1} - A_m, under_{m-1} - B_m, right loops of region m)``;
+  elsewhere there are none;
+* left loops are the loops of region ``l`` that every region of
+  ``l+1..m`` leaves room for, so the count only falls along the row:
+  ``max(0, min(left_{m-1}, A_m - A_l, B_m - B_l))``, and once it is 0 it
+  stays 0.
 
 The regions come from :attr:`ComponentProfile.regions`, where ``S_0`` is a
 region with no above or below components and its nested loops on the
@@ -112,17 +114,21 @@ def _row(p: ComponentProfile, l: int) -> list[tuple[int, int, int, int]]:
     """
     regions = p.regions
     a_l, b_l, _, _, loops_l, side_l = regions[l]
-    left_l = loops_l if side_l == "left" else 0
+    left = loops_l if side_l == "left" else 0
     over, under = a_l, b_l
-    tail_a, tail_b = regions[l + 1][:2]
     # one region: all its loops are large
-    row = [(over, under, loops_l if side_l == "right" else 0, left_l)]
+    row = [(over, under, loops_l if side_l == "right" else 0, left)]
     for a, b, _, _, loops, side in regions[l + 1 :]:
-        right_m = min(max(0, over - a), max(0, under - b), loops if side == "right" else 0)
-        over, under = min(over, a), min(under, b)
-        tail_a, tail_b = min(tail_a, a), min(tail_b, b)
-        left_m = min(max(0, tail_a - a_l), max(0, tail_b - b_l), left_l)
-        row.append((over, under, right_m, left_m))
+        right = 0
+        if side == "right" and a < over and b < under:
+            right = min(over - a, under - b, loops)
+        if a < over:
+            over = a
+        if b < under:
+            under = b
+        if left:  # it only falls, so once 0 it stays 0
+            left = max(0, min(left, a - a_l, b - b_l))
+        row.append((over, under, right, left))
     return row
 
 

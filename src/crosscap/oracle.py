@@ -51,7 +51,12 @@ from .components import (
     reconstruct,
 )
 from .coords import DynnikovCoordinates, format_coords
-from .errors import InvalidParameterError, NonprimitiveContentError, UnsupportedCurveError
+from .errors import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    NonprimitiveContentError,
+    UnsupportedCurveError,
+)
 from .intersect import ElementaryCurve, _band, _checked, _formula_values
 from .inversion import invert, realizable
 from .large import RegionRange, _span
@@ -326,11 +331,13 @@ def run_selftest(
     """Sweep the grid comparing every formula against the tracing oracle.
 
     ``cmax`` defaults to ``bound``.  With ``jobs > 1`` the grid is sharded
-    across worker processes (points are independent).  A negative bound and
-    a box with no point to check both raise :class:`InvalidParameterError`,
-    so an empty sweep never reports agreement.  The report keeps the first
-    few divergences found.
+    across worker processes (points are independent).  ``n < 2``, a
+    negative bound and a box with no point to check all raise a
+    :class:`CrosscapError`, so an empty sweep never reports agreement.
+    The report keeps the first few divergences found.
     """
+    if n < 2:
+        raise DimensionMismatchError(f"puncture count must be >= 2, got {n}")
     if cmax is None:
         cmax = bound
     if bound < 0 or cmax < 0:

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +51,16 @@ class TestInvert:
         data = json.loads(out)
         v = parse_coords("(-1; 1,0; 1; 1,1)")
         assert data == v.to_dict()
+
+    def test_python_dash_m(self):
+        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        done = subprocess.run(
+            [sys.executable, "-m", "crosscap", "invert", "(2; 1,0; -2; 2,0)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "beta   6 4 4" in done.stdout
 
 
 class TestIntersect:
@@ -126,6 +139,12 @@ class TestErrors:
         code, _, err = run(capsys, "intersect", "(-1; 1,0; 1; 1,1)", "--curve", "Cij:x,2")
         assert code == 1
         assert err.startswith("crosscap: error:") and "Cij:x,2" in err
+
+    @pytest.mark.parametrize("spec", ["Cij:1,\u0662", "Cij:1,0_2"])
+    def test_non_ascii_curve_index_exits_one(self, capsys, spec):
+        code, out, err = run(capsys, "intersect", "(2; 1,0; -2; 2,0)", "--curve", spec)
+        assert code == 1 and out == ""
+        assert err.startswith("crosscap: error:") and "two integer indices" in err
 
     def test_non_utf8_file_exits_one(self, capsys, tmp_path):
         path = tmp_path / "v.json"
@@ -212,6 +231,14 @@ class TestSelftest:
         code, out, err = run(capsys, "selftest", "--jobs", "1", *argv)
         assert code == 1
         assert err.startswith("crosscap: error:") and "agree" not in out
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("n", ["-1", "0", "1"])
+    def test_too_few_punctures_exits_one(self, capsys, n, jobs):
+        # rejected before the grid is sized or a worker starts
+        code, out, err = run(capsys, "selftest", "--n", n, "--bound", "1", "--jobs", jobs)
+        assert code == 1 and out == ""
+        assert err == f"crosscap: error: puncture count must be >= 2, got {n}\n"
 
     def test_negative_jobs_exits_one(self, capsys):
         code, _, err = run(capsys, "selftest", "--bound", "1", "--jobs", "-1")

@@ -54,6 +54,42 @@ class TestCatalog:
         with pytest.raises(InvalidParameterError):
             parse_curve("Q:1")
 
+    def test_catalog_is_built_once_per_argument(self, monkeypatch):
+        assert catalog(5) is catalog(5)
+        full = catalog(5, True)
+        assert full is not catalog(5)
+        assert full[: len(catalog(5))] == catalog(5)
+        assert [c.spec() for c in full[len(catalog(5)) :]] == [
+            "core:1", "core:2", "bounding:1", "bounding:2"
+        ]
+        v = DynnikovCoordinates(n=64, a=(1,) * 63, b=(0,) * 64, t=0, c1=0, c2=0)
+        elementary_values(v)
+        built = []
+        post_init = ElementaryCurve.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(ElementaryCurve, "__post_init__", counting)
+        assert len(elementary_values(v)) == len(catalog(64)) == 2145
+        assert built == []
+
+
+class TestParseCurve:
+    def test_whitespace_and_sign_accepted(self):
+        assert parse_curve("Cij:1, 2") == ElementaryCurve.Cij(1, 2)
+        assert parse_curve(" Cprime1: +3 ") == ElementaryCurve.Cprime1(3)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["Cij:1,\u0662", "Cij:1,0_2", "Cij:1,2,", "Cij:1,+", "Cprime1:\u00b2", "core:1 1"],
+    )
+    def test_only_ascii_integers_accepted(self, text):
+        # int() alone takes non-ASCII digits and underscores
+        with pytest.raises(InvalidParameterError, match="needs"):
+            parse_curve(text)
+
 
 class TestElementaryCoords:
     def test_displays_for_n2(self):

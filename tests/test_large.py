@@ -182,16 +182,26 @@ def _grid(n, bound):
             yield v
 
 
+def _check_rows(n, cases, seed, magnitude):
+    rnd = random.Random(seed)
+    for _ in range(cases):
+        p = profile(invert(random_vector(rnd, n, magnitude)))
+        for rng in all_ranges(n):
+            c = counts_for_range(p, rng)
+            got = (c.over, c.under, c.right_loops, c.left_loops)
+            assert got == fresh_min_counts(p, rng), (p, rng)
+
+
 class TestRowsAgainstFreshMinima:
     @pytest.mark.parametrize("n, cases", [(2, 300), (5, 200), (12, 40), (64, 3)])
     def test_every_range_of_every_left_end(self, n, cases):
-        rnd = random.Random(n)
-        for _ in range(cases):
-            p = profile(invert(random_vector(rnd, n, 10**9)))
-            for rng in all_ranges(n):
-                c = counts_for_range(p, rng)
-                got = (c.over, c.under, c.right_loops, c.left_loops)
-                assert got == fresh_min_counts(p, rng), (p, rng)
+        _check_rows(n, cases, seed=n, magnitude=10**9)
+
+    @pytest.mark.parametrize("n, cases", [(5, 300), (12, 100), (64, 10)])
+    def test_tie_heavy_rows(self, n, cases):
+        # entries in [-2, 2]: neighbouring regions often tie, and a tie
+        # leaves no room for a large loop
+        _check_rows(n, cases, seed=n + 1, magnitude=2)
 
 
 class TestAgainstTracing:
