@@ -33,7 +33,7 @@ from .errors import (
     InvalidParameterError,
     InvalidRangeError,
 )
-from .intersect import catalog, elementary_values, parse_curve
+from .intersect import elementary_values, parse_curve
 from .inversion import coordinatize, invert
 from .large import RegionRange, counts_for_range
 from .oracle import run_selftest
@@ -179,10 +179,12 @@ def _cmd_profile(args) -> int:
 
 def _cmd_intersect(args) -> int:
     coords = _read_vector(args)
+    if args.curve and args.all:
+        raise CrosscapError("use --curve or --all, not both")
     if args.curve:
         curves = tuple(parse_curve(c) for c in args.curve)
     elif args.all:
-        curves = catalog(coords.n)
+        curves = None  # the whole catalog
     else:
         raise CrosscapError("pick curves with --curve or use --all")
     values = elementary_values(coords, curves)

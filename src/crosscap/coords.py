@@ -27,6 +27,7 @@ is an immutable value object, safe to share between threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import (
@@ -295,7 +296,9 @@ class _Scanner:
             raise CoordinateSyntaxError("trailing characters", self.pos)
 
 
-def _parse_blocks(text: str, nblocks: int) -> list[list[int]]:
+def _scan_blocks(text: str) -> list[list[int]]:
+    """The blocks of ``text``, read one character at a time: slow, but it
+    names the position of the first thing wrong."""
     sc = _Scanner(text)
     sc.expect("(")
     blocks = [sc.int_block()]
@@ -304,12 +307,32 @@ def _parse_blocks(text: str, nblocks: int) -> list[list[int]]:
         blocks.append(sc.int_block())
     sc.expect(")")
     sc.end()
-    if len(blocks) != nblocks:
+    if len(blocks) != 4:
         raise CoordinateSyntaxError(
-            f"expected {nblocks} semicolon-separated blocks, got {len(blocks)}",
+            f"expected 4 semicolon-separated blocks, got {len(blocks)}",
             len(text) - 1,
         )
     return blocks
+
+
+# The whole grammar :class:`_Scanner` reads, with four blocks.  ``\s`` is
+# str.isspace(), and the digits are ASCII: int() would also take "٣" and "1_0".
+_INT = r"\s*[+-]?[0-9]+"
+_BLOCK = rf"{_INT}(?:\s*,{_INT})*"
+_GRAMMAR = re.compile(rf"\s*\({_BLOCK}(?:\s*;{_BLOCK}){{3}}\s*\)\s*")
+
+
+def _parse_blocks(text: str) -> list[list[int]]:
+    """The four integer blocks of ``(x,...; x,...; x,...; x,...)``.
+
+    Valid text is matched by one regex and split by ``str.split``/``int``;
+    only text the regex rejects goes to the scanner, which raises the
+    error naming the offending position.
+    """
+    if _GRAMMAR.fullmatch(text) is None:
+        return _scan_blocks(text)
+    inner = "".join(text.split())[1:-1]  # no whitespace: int() skips less than isspace()
+    return [list(map(int, block.split(","))) for block in inner.split(";")]
 
 
 def parse_coords(text: str, n: int | None = None) -> DynnikovCoordinates:
@@ -318,7 +341,7 @@ def parse_coords(text: str, n: int | None = None) -> DynnikovCoordinates:
     ``n`` is inferred from the ``b`` block; when given explicitly it is
     cross-checked against the inferred value.
     """
-    a, b, t, c = _parse_blocks(text, 4)
+    a, b, t, c = _parse_blocks(text)
     if len(t) != 1:
         raise CoordinateSyntaxError("t block must hold a single integer", 0)
     if len(c) != 2:
@@ -341,7 +364,7 @@ def format_coords(coords: DynnikovCoordinates) -> str:
 
 def parse_triangle(text: str, n: int | None = None) -> TriangleCoordinates:
     """Parse ``"(alpha; beta; gamma; c1,c2)"`` (same conventions)."""
-    alpha, beta, gamma, c = _parse_blocks(text, 4)
+    alpha, beta, gamma, c = _parse_blocks(text)
     if len(gamma) != 1:
         raise CoordinateSyntaxError("gamma block must hold a single integer", 0)
     if len(c) != 2:

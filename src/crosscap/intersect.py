@@ -25,10 +25,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .components import ComponentProfile, profile
 from .coords import DynnikovCoordinates, TriangleCoordinates, _ints
 from .errors import (
+    DimensionMismatchError,
     InvalidParameterError,
     NonprimitiveContentError,
     UnsupportedCurveError,
@@ -160,9 +162,19 @@ def parse_curve(text: str) -> ElementaryCurve:
     raise InvalidParameterError(f"cannot parse curve spec {text!r}")
 
 
-@lru_cache(maxsize=_CATALOGS_KEPT, typed=True)
 def catalog(n: int, include_nonprimitive: bool = False) -> tuple[ElementaryCurve, ...]:
-    """Every elementary curve on the surface with ``n`` punctures (built once per argument)."""
+    """Every elementary curve on the surface with ``n`` punctures (built once per argument).
+
+    ``n`` must be an ``int`` of at least 2, or :class:`DimensionMismatchError` is raised.
+    """
+    _ints((n,), ("n",))
+    if n < 2:
+        raise DimensionMismatchError(f"puncture count must be >= 2, got {n}")
+    return _catalog(n, include_nonprimitive)
+
+
+@lru_cache(maxsize=_CATALOGS_KEPT)
+def _catalog(n: int, include_nonprimitive: bool) -> tuple[ElementaryCurve, ...]:
     curves = [
         ElementaryCurve.Cij(i, j) for i in range(1, n) for j in range(i + 1, n + 1)
     ]
@@ -216,50 +228,79 @@ def _band(curve: ElementaryCurve, n: int) -> tuple[int, int]:
     return n, n + 1
 
 
+class _Layout(NamedTuple):
+    """Where each curve's value sits among the large-count rows.
+
+    ``bands`` holds each curve's first and last region, ``firsts`` the
+    distinct left ends in row order and ``index`` each curve's position in
+    those rows laid end to end (a row from ``l`` has ``n + 2 - l``
+    entries); ``d_at`` lists the positions of ``D``.
+    """
+
+    bands: tuple[tuple[int, int], ...]
+    firsts: tuple[int, ...]
+    index: tuple[int, ...]
+    d_at: tuple[int, ...]
+
+
+def _layout(curves: tuple[ElementaryCurve, ...], n: int) -> _Layout:
+    bands = tuple(_band(curve, n) for curve in curves)
+    firsts = sorted({first for first, _ in bands})
+    offset = {}
+    size = 0
+    for first in firsts:
+        offset[first] = size - first
+        size += n + 2 - first
+    return _Layout(
+        bands=bands,
+        firsts=tuple(firsts),
+        index=tuple(offset[first] + last for first, last in bands),
+        d_at=tuple(k for k, curve in enumerate(curves) if curve.kind == "D"),
+    )
+
+
+@lru_cache(maxsize=_CATALOGS_KEPT)
+def _catalog_layout(n: int) -> _Layout:
+    return _layout(_catalog(n, False), n)
+
+
 def _checked(
     coords: DynnikovCoordinates, curves: tuple[ElementaryCurve, ...] | None
-) -> tuple[ElementaryCurve, ...]:
+) -> tuple[tuple[ElementaryCurve, ...], _Layout]:
     """The curves the formulas evaluate on ``coords`` (default: the full
-    in-scope catalog), after rejecting what they do not cover."""
+    in-scope catalog) and their layout, after rejecting what the formulas
+    do not cover."""
     if coords.c1 < 0 or coords.c2 < 0:
         raise NonprimitiveContentError(
             "multicurve carries whole non-primitive components "
             f"(c1={coords.c1}, c2={coords.c2}); intersection with them is undefined here"
         )
+    n = coords.n
     if curves is None:
-        return catalog(coords.n)
+        return _catalog(n, False), _catalog_layout(n)
     for curve in curves:
         if curve.nonprimitive:
             raise UnsupportedCurveError(
                 f"no intersection formula for non-primitive curve {curve.label()}"
             )
-        curve.check(coords.n)
-    return curves
+        curve.check(n)
+    return curves, _layout(curves, n)
 
 
-def _formula_values(
-    tri: TriangleCoordinates, prof: ComponentProfile, curves: tuple[ElementaryCurve, ...]
-) -> list[int]:
-    """The closed formulas on curves that passed :func:`_checked`, one
-    large-count row per distinct left end.
+def _formula_values(tri: TriangleCoordinates, prof: ComponentProfile, layout: _Layout) -> list[int]:
+    """The closed formulas on curves that passed :func:`_checked`: one
+    large-count row per distinct left end, then one lookup per curve.
 
-    Each value is the strand total on the range's two boundary arcs (none
-    left of ``S_0`` or right of the second crosscap) minus twice the large
-    counts of the range (a row holds zero for the counts a range through
-    both crosscaps leaves undefined); ``D`` then corrects the ``C`` count.
+    Each value is its range's crossing total off the row; ``D`` then
+    corrects the ``C`` count.
     """
-    n = tri.n
-    arcs = (0, *tri.beta, 0)
-    rows: dict[int, list[tuple[int, int, int, int]]] = {}
-    out = []
-    for curve in curves:
-        first, last = _band(curve, n)
-        if first not in rows:
-            rows[first] = _row(prof, first)
-        value = arcs[first] + arcs[last + 1] - 2 * sum(rows[first][last - first])
-        if curve.kind == "D":
-            value = abs(tri.c1 - tri.c2) if value == 0 else value - tri.c1 - tri.c2
-        out.append(value)
+    totals: list[int] = []
+    for first in layout.firsts:
+        totals += _row(prof, first)[0]
+    out = list(map(totals.__getitem__, layout.index))
+    c1, c2 = tri.c1, tri.c2
+    for k in layout.d_at:
+        out[k] = abs(c1 - c2) if out[k] == 0 else out[k] - c1 - c2
     return out
 
 
@@ -280,6 +321,6 @@ def elementary_values(
     consume plain crossing counts), as are non-primitive curve kinds (no
     formula exists for them).
     """
-    curves = _checked(coords, curves)
+    curves, layout = _checked(coords, curves)
     tri = invert(coords)
-    return list(zip(curves, _formula_values(tri, profile(tri), curves)))
+    return list(zip(curves, _formula_values(tri, profile(tri), layout)))

@@ -30,8 +30,9 @@ The regions come from :attr:`ComponentProfile.regions`, where ``S_0`` is a
 region with no above or below components and its nested loops on the
 left, and the second crosscap region one with only right loops, so every
 count touching them comes out of the same expressions; only non-core loops
-can be large.  :func:`_row` makes the one pass per left end; a range's
-counts are a lookup into its left end's row.
+can be large.  :func:`_row` makes the one pass per left end: it yields
+each range's crossing total as it goes, and a range's counts are where the
+pass stops.
 """
 
 from __future__ import annotations
@@ -105,20 +106,27 @@ class LargeComponentCounts:
     left_loops: int | None
 
 
-def _row(p: ComponentProfile, l: int) -> list[tuple[int, int, int, int]]:
-    """``(over, under, right_loops, left_loops)`` of the ranges from ``l``.
+def _row(p: ComponentProfile, l: int, last: int | None = None) -> tuple[list[int], tuple]:
+    """The crossing totals of the ranges from ``l``, and the large counts
+    of the one ending in region ``last`` (default: the last region).
 
-    Entry ``k`` is the range ending in region ``l + k``: ``S_{l,l+k}`` up
-    to region ``n-1``, then ``S'_{l,1}`` and ``S'_{l,2}``.  The last entry
-    holds zero for the counts ``S'_{l,2}`` leaves undefined.
+    Entry ``k`` of the totals is the range ending in region ``l + k``:
+    ``S_{l,l+k}`` up to region ``n-1``, then ``S'_{l,1}`` and ``S'_{l,2}``.
+    It is the strand total on the range's two boundary arcs (none left of
+    ``S_0`` or right of the second crosscap) minus twice its large counts.
+    The counts are ``(over, under, right_loops, left_loops)``; for
+    ``S'_{l,2}`` they hold zero where that range leaves them undefined.
     """
     regions = p.regions
+    arcs = (0, *p.beta, 0)
+    base = arcs[l]
     a_l, b_l, _, _, loops_l, side_l = regions[l]
     left = loops_l if side_l == "left" else 0
+    right = loops_l if side_l == "right" else 0  # one region: all its loops are large
     over, under = a_l, b_l
-    # one region: all its loops are large
-    row = [(over, under, loops_l if side_l == "right" else 0, left)]
-    for a, b, _, _, loops, side in regions[l + 1 :]:
+    totals = [base + arcs[l + 1] - 2 * (over + under + right + left)]
+    stop = None if last is None else last + 1
+    for (a, b, _, _, loops, side), arc in zip(regions[l + 1 : stop], arcs[l + 2 :]):
         right = 0
         if side == "right" and a < over and b < under:
             right = min(over - a, under - b, loops)
@@ -128,15 +136,14 @@ def _row(p: ComponentProfile, l: int) -> list[tuple[int, int, int, int]]:
             under = b
         if left:  # it only falls, so once 0 it stays 0
             left = max(0, min(left, a - a_l, b - b_l))
-        row.append((over, under, right, left))
-    return row
+        totals.append(base + arc - 2 * (over + under + right + left))
+    return totals, (over, under, right, left)
 
 
 def counts_for_range(p: ComponentProfile, rng: RegionRange) -> LargeComponentCounts:
     """All large counts of one range."""
     rng.check(p.n)
-    first, last = _span(rng, p.n)
-    over, under, right, left = _row(p, first)[last - first]
+    over, under, right, left = _row(p, *_span(rng, p.n))[1]
     if rng.crosscap == 2:
         return LargeComponentCounts(over=None, under=None, right_loops=right, left_loops=None)
     return LargeComponentCounts(over=over, under=under, right_loops=right, left_loops=left)

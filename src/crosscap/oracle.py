@@ -31,7 +31,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 from operator import itemgetter
 from typing import Iterator
 
@@ -163,32 +162,30 @@ def _band_counts(gl: GluingDescription, rows: dict, first: int, last: int) -> tu
     return over, under, right, left, ends - 2 * (over + under + right + left)
 
 
-def _traced_values(gl: GluingDescription, curves: tuple[ElementaryCurve, ...]) -> list[int]:
-    """Traced crossings with curves that passed their checks, one row per
-    boundary arc and direction (``D`` reads ``C``'s band).
+def _traced_values(gl: GluingDescription, bands: tuple, d_at: tuple[int, ...]) -> list[int]:
+    """Traced crossings with curves that passed their checks, given their
+    bands and the positions of ``D`` (see :func:`crosscap.intersect._layout`):
+    one row per boundary arc and direction (``D`` reads ``C``'s band).
 
     ``D`` then takes the core passages counted over the glued bundles, by
     the same case split the closed formula uses.
     """
-    n = gl.n
     rows: dict[tuple[int, bool], list[list[int]]] = {}
-    out = []
-    for curve in curves:
-        crossings = _band_counts(gl, rows, *_band(curve, n))[4]
-        if curve.kind == "D":
-            passes = [0, 0]  # core passages through crosscaps 1 and 2 (regions n, n+1)
-            for b in gl.bundles:
-                if b.species in (CORE_CURVE, BOUNDING_CURVE):
-                    raise NonprimitiveContentError(
-                        "diagram carries whole non-primitive components"
-                    )
-                if b.species in (STRAIGHT_CORE, CORE_LOOP):
-                    passes[b.region - n] += b.width
-            if crossings == 0:
-                crossings = abs(passes[0] - passes[1])
+    out = [_band_counts(gl, rows, first, last)[4] for first, last in bands]
+    if d_at:
+        passes = [0, 0]  # core passages through crosscaps 1 and 2 (regions n, n+1)
+        for b in gl.bundles:
+            if b.species in (CORE_CURVE, BOUNDING_CURVE):
+                raise NonprimitiveContentError(
+                    "diagram carries whole non-primitive components"
+                )
+            if b.species in (STRAIGHT_CORE, CORE_LOOP):
+                passes[b.region - gl.n] += b.width
+        for k in d_at:
+            if out[k] == 0:
+                out[k] = abs(passes[0] - passes[1])
             else:
-                crossings -= passes[0] + passes[1]
-        out.append(crossings)
+                out[k] -= passes[0] + passes[1]
     return out
 
 
@@ -203,7 +200,7 @@ def count_crossings(gl: GluingDescription, curve: ElementaryCurve) -> int:
             f"no crossing rule for non-primitive curve {curve.label()}"
         )
     curve.check(gl.n)
-    return _traced_values(gl, (curve,))[0]
+    return _traced_values(gl, (_band(curve, gl.n),), (0,) if curve.kind == "D" else ())[0]
 
 
 def large_census(gl: GluingDescription, rng: RegionRange) -> tuple[int, int, int, int]:
@@ -292,7 +289,7 @@ def grid_points(n: int, bound: int, cmax: int) -> Iterator[DynnikovCoordinates]:
 
 def compare_point(coords: DynnikovCoordinates) -> list[Divergence]:
     """Formula-vs-oracle comparison at one point over the full catalog."""
-    curves = _checked(coords, None)
+    curves, layout = _checked(coords, None)
     tri = invert(coords)
     prof = profile(tri)
     gl = build_diagram(prof)
@@ -306,7 +303,7 @@ def compare_point(coords: DynnikovCoordinates) -> list[Divergence]:
             profile=prof.to_dict(),
         )
         for curve, fval, tval in zip(
-            curves, _formula_values(tri, prof, curves), _traced_values(gl, curves)
+            curves, _formula_values(tri, prof, layout), _traced_values(gl, layout.bands, layout.d_at)
         )
         if tval != fval
     ]
@@ -355,6 +352,8 @@ def run_selftest(
             (n, bound, cmax, lo, min(lo + step, total))
             for lo in range(0, total, step)
         ]
+        from multiprocessing import Pool  # only a parallel sweep pays for the import
+
         with Pool(jobs) as pool:
             for checked, divs in pool.imap(_sweep_chunk, chunks):
                 report.points_checked += checked

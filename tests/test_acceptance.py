@@ -102,6 +102,7 @@ def test_criterion_2_golden_final_example():
     print(f"criterion 2 PASS: final example exact in {elapsed * 1e6:.0f} us")
 
 
+@pytest.mark.slow
 def test_criterion_3_round_trip_bijection():
     t0 = time.perf_counter()
     round_tripped = rejected = 0
@@ -126,6 +127,7 @@ def test_criterion_3_round_trip_bijection():
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_formula_oracle_equivalence():
     t0 = time.perf_counter()
     reports = [
@@ -144,6 +146,7 @@ def test_criterion_4_formula_oracle_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_5_invariant_suite():
     t0 = time.perf_counter()
     checked = 0

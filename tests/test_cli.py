@@ -13,6 +13,15 @@ from crosscap.coords import parse_coords
 from crosscap.oracle import SelftestReport
 
 
+def python(*argv):
+    """Run a fresh interpreter with the package on its path."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -53,14 +62,15 @@ class TestInvert:
         assert data == v.to_dict()
 
     def test_python_dash_m(self):
-        path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        done = subprocess.run(
-            [sys.executable, "-m", "crosscap", "invert", "(2; 1,0; -2; 2,0)"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        done = python("-m", "crosscap", "invert", "(2; 1,0; -2; 2,0)")
         assert done.returncode == 0, done.stderr
         assert "beta   6 4 4" in done.stdout
+
+    def test_import_leaves_multiprocessing_out(self):
+        # only a parallel selftest sweep needs it
+        done = python("-c", "import sys, crosscap.cli; print('multiprocessing' in sys.modules)")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestIntersect:
@@ -90,6 +100,12 @@ class TestIntersect:
         code, _, err = run(capsys, "intersect", "(2; 1,0; -2; 2,0)")
         assert code == 1
         assert "curve" in err
+
+    def test_curve_and_all_together_exit_one(self, capsys):
+        code, out, err = run(capsys, "intersect", "(2; 1,0; -2; 2,0)", "--curve", "C", "--all")
+        assert code == 1
+        assert out == ""
+        assert err == "crosscap: error: use --curve or --all, not both\n"
 
 
 class TestErrors:

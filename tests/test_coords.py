@@ -1,11 +1,16 @@
 """Domain types, validation, and the canonical text format."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
 from crosscap.coords import (
     DynnikovCoordinates,
     TriangleCoordinates,
+    _parse_blocks,
+    _scan_blocks,
     format_coords,
     format_triangle,
     parse_coords,
@@ -13,6 +18,7 @@ from crosscap.coords import (
 )
 from crosscap.errors import (
     CoordinateSyntaxError,
+    CrosscapError,
     DimensionMismatchError,
     InconsistentTriangleError,
     ParityViolationError,
@@ -144,6 +150,128 @@ class TestTextFormat:
     def test_json_round_trip(self):
         v = vec(3, [1, -2], [0, 3, -1], 2, 0, 1)
         assert DynnikovCoordinates.from_dict(v.to_dict()) == v
+
+
+# Every code point str.isspace() holds for: the scanner skips exactly these.
+WHITESPACE = [chr(i) for i in range(0x110000) if chr(i).isspace()]
+
+# Malformed text, each with the error class and message (position
+# included) it has always been rejected with.
+MALFORMED = [
+    ("", CoordinateSyntaxError, "expected '(' (at position 0)"),
+    ("(", CoordinateSyntaxError, "expected an integer (at position 1)"),
+    ("()", CoordinateSyntaxError, "expected an integer (at position 1)"),
+    ("1; 1,0; 0; 0,0)", CoordinateSyntaxError, "expected '(' (at position 0)"),
+    ("(1; 2; 3)", CoordinateSyntaxError,
+     "expected 4 semicolon-separated blocks, got 3 (at position 8)"),
+    ("(1; 1,0; 0; 0,0; 5)", CoordinateSyntaxError,
+     "expected 4 semicolon-separated blocks, got 5 (at position 18)"),
+    ("(1; 1,x; 0; 0,0)", CoordinateSyntaxError, "expected an integer (at position 6)"),
+    ("(²; 1,0; -2; 2,0)", CoordinateSyntaxError, "expected an integer (at position 1)"),
+    ("(2²; 1,0; -2; 2,0)", CoordinateSyntaxError, "expected ')' (at position 2)"),
+    ("(2; 1,٣; -2; 2,0)", CoordinateSyntaxError, "expected an integer (at position 6)"),
+    ("(1_0; 1,0; 0; 0,0)", CoordinateSyntaxError, "expected ')' (at position 2)"),
+    ("(1.5; 1,0; 0; 0,0)", CoordinateSyntaxError, "expected ')' (at position 2)"),
+    ("(+ 3; 1,0; 0; 0,0)", CoordinateSyntaxError, "expected an integer (at position 1)"),
+    ("(--3; 1,0; 0; 0,0)", CoordinateSyntaxError, "expected an integer (at position 1)"),
+    ("(1; 1,0; 0; +)", CoordinateSyntaxError, "expected an integer (at position 12)"),
+    ("(1; ; 0; 0,0)", CoordinateSyntaxError, "expected an integer (at position 4)"),
+    ("(1;\n\n; 0; 0,0)", CoordinateSyntaxError, "expected an integer (at position 5)"),
+    ("(1; 1,0,; 0; 0,0)", CoordinateSyntaxError, "expected an integer (at position 8)"),
+    ("(1; 1,0; 0; 0,0;)", CoordinateSyntaxError, "expected an integer (at position 16)"),
+    ("(1, 2 3; 1,0; 0; 0,0)", CoordinateSyntaxError, "expected ')' (at position 6)"),
+    ("(1; 1,0; 0; 0,0", CoordinateSyntaxError, "expected ')' (at position 15)"),
+    ("(1; 2,9", CoordinateSyntaxError, "expected ')' (at position 7)"),
+    ("(1; 1,0; 0; 0,0)  \u00a0 ;", CoordinateSyntaxError, "trailing characters (at position 20)"),
+    ("(1;\t1,0;\n0; 0,0\n", CoordinateSyntaxError, "expected ')' (at position 16)"),
+    ("(1;\t1,0;\n0; 0,0)\tx", CoordinateSyntaxError, "trailing characters (at position 17)"),
+    ("(1; 1,0; 0; 0,0))", CoordinateSyntaxError, "trailing characters (at position 16)"),
+    ("(1; 1,0; 0,1; 0,0)", CoordinateSyntaxError,
+     "t block must hold a single integer (at position 0)"),
+    ("(1; 1,0; 0; 0)", CoordinateSyntaxError,
+     "c block must hold exactly two integers (at position 0)"),
+    ("(1; 1,0; 0; 0,0,0)", CoordinateSyntaxError,
+     "c block must hold exactly two integers (at position 0)"),
+    ("(1,2; 1,0; 0; 0,0)", DimensionMismatchError, "a must have 1 entries for n=2, got 2"),
+    ("(1; 1; 0; 0,0)", DimensionMismatchError, "puncture count must be >= 2, got 1"),
+    ("(0; 0,0; 0; 0,0)", ZeroVectorError, "the zero vector encodes no multicurve"),
+]
+
+
+def _outcome(parse, text):
+    try:
+        return "ok", parse(text)
+    except CrosscapError as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+
+
+def _spell(rnd, x):
+    """``x`` with a random sign spelling and leading zeros."""
+    sign = "-" if x < 0 else rnd.choice(("", "", "+"))
+    return sign + "0" * rnd.choice((0, 0, 1, 3)) + str(abs(x))
+
+
+def _valid_text(rnd, blocks):
+    def gap():
+        return "".join(rnd.choices(WHITESPACE + [" "] * 20, k=rnd.choice((0, 0, 1, 2))))
+
+    def block(xs):
+        return ",".join(gap() + _spell(rnd, x) + gap() for x in xs)
+
+    return gap() + "(" + ";".join(block(xs) for xs in blocks) + ")" + gap()
+
+
+class TestTextParser:
+    @pytest.mark.parametrize("text, error, message", MALFORMED)
+    def test_malformed_text_keeps_its_error(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse_coords(text)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_grammar_whitespace_is_str_isspace(self):
+        space = re.compile(r"\s")
+        assert [c for c in map(chr, range(0x110000)) if space.fullmatch(c)] == WHITESPACE
+
+    def test_valid_corpus_parses_to_its_vector(self):
+        rnd = random.Random(5)
+        for _ in range(2000):
+            n = rnd.randint(2, 9)
+            magnitude = rnd.choice((1, 3, 10**3, 10**9, 10**40))
+            a = [rnd.randint(-magnitude, magnitude) for _ in range(n - 1)]
+            b = [rnd.randint(-magnitude, magnitude) for _ in range(n)]
+            t, c1, c2 = (rnd.randint(-magnitude, magnitude) for _ in range(3))
+            if not any(a + b + [t, c1, c2]):
+                c1 = 1
+            text = _valid_text(rnd, (a, b, [t], [c1, c2]))
+            assert parse_coords(text) == vec(n, a, b, t, c1, c2), text
+            assert _parse_blocks(text) == _scan_blocks(text) == [a, b, [t], [c1, c2]]
+
+    def test_mutated_corpus_matches_the_scanner(self):
+        # the regex and split read exactly what the scanner reads, and
+        # reject the rest with the scanner's error
+        rnd = random.Random(6)
+        alphabet = list("();,+-0123456789 .x_²٣") + ["\t", "\n", "\u00a0", "\u2003", ";;", ",,"]
+        kinds = {"ok": 0, "error": 0}
+        for _ in range(6000):
+            blocks = [[rnd.randint(-20, 20) for _ in range(rnd.randint(1, 3))] for _ in range(4)]
+            chars = list(_valid_text(rnd, blocks))
+            for _ in range(rnd.randint(0, 3)):
+                k = rnd.randrange(len(chars) + 1)
+                op = rnd.random()
+                if op < 0.4:
+                    chars.insert(k, rnd.choice(alphabet))
+                elif chars:
+                    k = min(k, len(chars) - 1)
+                    if op < 0.7:
+                        del chars[k]
+                    else:
+                        chars[k] = rnd.choice(alphabet)
+            text = "".join(chars)
+            expected = _outcome(_scan_blocks, text)
+            assert _outcome(_parse_blocks, text) == expected, text
+            kinds["ok" if expected[0] == "ok" else "error"] += 1
+        assert min(kinds.values()) > 1000, kinds
 
 
 class TestTriangleCoordinates:

@@ -7,6 +7,7 @@ import pytest
 
 from crosscap.coords import DynnikovCoordinates, parse_coords
 from crosscap.errors import (
+    DimensionMismatchError,
     InvalidParameterError,
     NonprimitiveContentError,
     UnsupportedCurveError,
@@ -22,6 +23,7 @@ from crosscap.intersect import (
 from crosscap.components import profile
 from crosscap.inversion import invert, realizable
 from crosscap.large import RegionRange, counts_for_range
+from paper_forms import per_curve_values
 from test_large import random_vector
 
 FINAL = parse_coords("(-1; 1,0; 1; 1,1)")
@@ -74,6 +76,25 @@ class TestCatalog:
         monkeypatch.setattr(ElementaryCurve, "__post_init__", counting)
         assert len(elementary_values(v)) == len(catalog(64)) == 2145
         assert built == []
+
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (True, "n must be an integer, got True"),
+            (2.0, "n must be an integer, got 2.0"),
+            ("3", "n must be an integer, got '3'"),
+            (1, "puncture count must be >= 2, got 1"),
+            (0, "puncture count must be >= 2, got 0"),
+            (-3, "puncture count must be >= 2, got -3"),
+        ],
+    )
+    def test_catalog_rejects_surfaces_that_do_not_exist(self, n, message):
+        with pytest.raises(DimensionMismatchError) as err:
+            catalog(n)
+        assert str(err.value) == message
+        with pytest.raises(DimensionMismatchError):
+            catalog(n, include_nonprimitive=True)
 
 
 class TestParseCurve:
@@ -142,6 +163,44 @@ class TestFinalExampleValues:
             full = dict(elementary_values(v))
             subset = rnd.sample(catalog(v.n), len(full) // 2)
             assert elementary_values(v, tuple(subset)) == [(c, full[c]) for c in subset]
+
+
+def _wide_vector(rnd, n, magnitude):
+    """A seeded realizable vector with entries up to ``magnitude`` and
+    ``c`` up to 10^3, past the domain of the two-case ``D`` rule."""
+    cmax = rnd.choice((1, 10**3))
+    while True:
+        a = tuple(rnd.randint(-magnitude, magnitude) for _ in range(n - 1))
+        b = tuple(rnd.randint(-magnitude, magnitude) for _ in range(n))
+        t, c1, c2 = rnd.randint(-magnitude, magnitude), rnd.randint(0, cmax), rnd.randint(0, cmax)
+        if (t + max(c1 - abs(b[-1]), 0)) % 2:
+            t += 1
+        if any(a + b + (t, c1, c2)):
+            return DynnikovCoordinates(n=n, a=a, b=b, t=t, c1=c1, c2=c2)
+
+
+class TestRowLookupMatchesPerCurveLoop:
+    """The values read off the rows through the per-``n`` layout equal the
+    formulas evaluated one curve at a time (values only: past ``c <= 1``
+    the ``D`` rule may go negative, on both paths alike)."""
+
+    @pytest.mark.parametrize("n, cases", [(2, 40), (3, 40), (5, 30), (12, 12), (64, 2)])
+    @pytest.mark.parametrize("magnitude", [1, 3, 10**3, 10**9])
+    def test_catalog_subsets_and_d_alone(self, n, cases, magnitude):
+        rnd = random.Random(f"{n}-{magnitude}")
+        curves = catalog(n)
+        for _ in range(cases):
+            v = _wide_vector(rnd, n, magnitude)
+            tri = invert(v)
+            p = profile(tri)
+            shuffled = tuple(rnd.sample(curves, rnd.randint(1, len(curves))))
+            repeated = tuple(rnd.choices(curves, k=len(curves) + 3))
+            d = ElementaryCurve.D()
+            for chosen in (None, curves, shuffled, repeated, (d,), (d, ElementaryCurve.C(), d)):
+                got = elementary_values(v, chosen)
+                chosen = curves if chosen is None else chosen
+                assert [c for c, _ in got] == list(chosen)
+                assert [x for _, x in got] == per_curve_values(tri, p, chosen), (v, chosen)
 
 
 class TestDerivedValues:

@@ -158,6 +158,7 @@ class TestIntervalTracing:
                     ref["over"], ref["under"], ref["right"], ref["left"], 2 * ref[None]
                 ), (v, rng)
 
+    @pytest.mark.slow
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_formulas_match_oracle_at_large_magnitude(self, data):
