@@ -21,6 +21,7 @@ from .components import profile, reconstruct
 from .coords import (
     DynnikovCoordinates,
     TriangleCoordinates,
+    _too_long,
     format_coords,
     format_triangle,
     parse_coords,
@@ -77,6 +78,8 @@ def _read_input(args, cls, parse):
                 raise CoordinateSyntaxError(
                     f"{args.file} is not UTF-8 text: {exc.reason}", exc.start
                 ) from None
+            except ValueError:  # json reads integers with int(): too many digits
+                raise CrosscapError(f"{args.file}: {_too_long('an integer')}") from None
         value = cls.from_dict(data)
     elif args.coords is not None:
         value = parse(args.coords)
@@ -95,57 +98,42 @@ def _read_triangle(args) -> TriangleCoordinates:
     return _read_input(args, TriangleCoordinates, parse_triangle)
 
 
-def _emit(data, human: str, as_json: bool):
-    if as_json:
-        print(json.dumps(data, indent=2))
-    else:
-        print(human)
+def _emit(data, human, as_json: bool):
+    """Print ``data`` as JSON, or the text that ``human()`` builds."""
+    try:
+        text = json.dumps(data, indent=2) if as_json else human()
+    except ValueError:  # str() of an int past the interpreter's digit limit
+        raise CrosscapError(_too_long("an output integer")) from None
+    print(text)
 
 
 def _cmd_invert(args) -> int:
     tri = invert(_read_vector(args))
-    human = "\n".join(
-        [
-            f"alpha  {' '.join(map(str, tri.alpha))}",
-            f"beta   {' '.join(map(str, tri.beta))}",
-            f"gamma  {tri.gamma}",
-            f"c      {tri.c1} {tri.c2}",
-        ]
-    )
+
+    def human():
+        return "\n".join(
+            [
+                f"alpha  {' '.join(map(str, tri.alpha))}",
+                f"beta   {' '.join(map(str, tri.beta))}",
+                f"gamma  {tri.gamma}",
+                f"c      {tri.c1} {tri.c2}",
+            ]
+        )
+
     _emit(tri.to_dict(), human, args.json)
     return 0
 
 
 def _cmd_coordinatize(args) -> int:
     coords = coordinatize(_read_triangle(args))
-    _emit(coords.to_dict(), format_coords(coords), args.json)
+    _emit(coords.to_dict(), lambda: format_coords(coords), args.json)
     return 0
 
 
 def _cmd_profile(args) -> int:
     prof = profile(invert(_read_vector(args)))
     data = prof.to_dict()
-    lines = [f"S0     loops={prof.s0_loops}"]
-    for k in range(prof.n - 1):
-        lines.append(
-            f"S{k + 1}     above={prof.above[k]} below={prof.below[k]} "
-            f"loops={prof.loops[k]} side={prof.sides[k]}"
-        )
-    lines.append(
-        f"cross1 above={prof.cross1_above} below={prof.cross1_below} "
-        f"straight={prof.straight_cores} core_loops={prof.cross1_core_loops} "
-        f"noncore_loops={prof.cross1_noncore_loops} side={prof.cross1_side}"
-    )
-    lines.append(
-        f"cross2 core_loops={prof.cross2_core_loops} "
-        f"noncore_loops={prof.cross2_noncore_loops}"
-    )
-    if prof.nonprimitive.any():
-        np_ = prof.nonprimitive
-        lines.append(
-            f"nonprimitive core1={np_.core1} bounding1={np_.bounding1} "
-            f"core2={np_.core2} bounding2={np_.bounding2}"
-        )
+    large = []  # (name, counts) per requested range
     if args.large:
         l, m = args.large
         if m > prof.n - 1 or l > prof.n:
@@ -153,7 +141,6 @@ def _cmd_profile(args) -> int:
                 f"--large {l} {m} names no range: need M <= {prof.n - 1} "
                 f"and L <= {prof.n}"
             )
-        data["large"] = {}
         # L > M asks for the two S'_(L,k) ranges alone (the only way to reach L = n)
         ranges = [
             (f"S'_({l},1)", RegionRange.through_first(l)),
@@ -161,19 +148,39 @@ def _cmd_profile(args) -> int:
         ]
         if l <= m:
             ranges.insert(0, (f"S_({l},{m})", RegionRange.punctures(l, m)))
-        for name, rng in ranges:
-            counts = counts_for_range(prof, rng)
-            data["large"][name] = {
-                "over": counts.over,
-                "under": counts.under,
-                "right_loops": counts.right_loops,
-                "left_loops": counts.left_loops,
-            }
+        large = [(name, counts_for_range(prof, rng)) for name, rng in ranges]
+        data["large"] = {name: vars(counts) for name, counts in large}
+
+    def human():
+        lines = [f"S0     loops={prof.s0_loops}"]
+        for k in range(prof.n - 1):
             lines.append(
-                f"large {name}: over={counts.over} under={counts.under} "
-                f"right={counts.right_loops} left={counts.left_loops}"
+                f"S{k + 1}     above={prof.above[k]} below={prof.below[k]} "
+                f"loops={prof.loops[k]} side={prof.sides[k]}"
             )
-    _emit(data, "\n".join(lines), args.json)
+        lines.append(
+            f"cross1 above={prof.cross1_above} below={prof.cross1_below} "
+            f"straight={prof.straight_cores} core_loops={prof.cross1_core_loops} "
+            f"noncore_loops={prof.cross1_noncore_loops} side={prof.cross1_side}"
+        )
+        lines.append(
+            f"cross2 core_loops={prof.cross2_core_loops} "
+            f"noncore_loops={prof.cross2_noncore_loops}"
+        )
+        if prof.nonprimitive.any():
+            np_ = prof.nonprimitive
+            lines.append(
+                f"nonprimitive core1={np_.core1} bounding1={np_.bounding1} "
+                f"core2={np_.core2} bounding2={np_.bounding2}"
+            )
+        lines += [
+            f"large {name}: over={counts.over} under={counts.under} "
+            f"right={counts.right_loops} left={counts.left_loops}"
+            for name, counts in large
+        ]
+        return "\n".join(lines)
+
+    _emit(data, human, args.json)
     return 0
 
 
@@ -189,8 +196,11 @@ def _cmd_intersect(args) -> int:
         raise CrosscapError("pick curves with --curve or use --all")
     values = elementary_values(coords, curves)
     data = [{"curve": c.spec(), "value": v} for c, v in values]
-    human = "\n".join(f"{c.label():12s} {v}" for c, v in values)
-    _emit(data if len(data) > 1 else data[0], human, args.json)
+    _emit(
+        data if len(data) > 1 else data[0],
+        lambda: "\n".join(f"{c.label():12s} {v}" for c, v in values),
+        args.json,
+    )
     return 0
 
 
@@ -222,7 +232,9 @@ def _cmd_selftest(args) -> int:
         "elapsed_seconds": round(report.elapsed, 3),
     }
     if args.json:
-        summary["first_divergences"] = [vars(d) for d in report.divergences]
+        summary["first_divergences"] = [
+            {**vars(d), "reproduce": d.reproduce} for d in report.divergences
+        ]
         print(json.dumps(summary, indent=2))
     else:
         print(
@@ -236,6 +248,7 @@ def _cmd_selftest(args) -> int:
                 f"formula={d.formula} traced={d.traced}",
                 file=sys.stderr,
             )
+            print(f"  reproduce: {d.reproduce}", file=sys.stderr)
             print(f"  triangle: {d.triangle}", file=sys.stderr)
             print(f"  profile:  {d.profile}", file=sys.stderr)
     if report.divergences:

@@ -279,6 +279,13 @@ class GluingDescription:
     left_ends: tuple[tuple[tuple[int, int, int], ...], ...]
     right_ends: tuple[tuple[tuple[int, int, int], ...], ...]
 
+    @cached_property
+    def _rows(self) -> dict[tuple[int, bool], list[list[int]]]:
+        """The oracle's rows by ``(arc, rightward)``, traced on first use
+        (:func:`crosscap.oracle._band_counts`): the gluing is immutable, so
+        none goes stale.  No field, so outside ``==``, ``hash`` and ``repr``."""
+        return {}
+
     @property
     def links(self) -> tuple[Link, ...]:
         """The per-slot expansion: one :class:`Link` per component, built

@@ -28,6 +28,7 @@ is an immutable value object, safe to share between threads.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import (
@@ -71,6 +72,12 @@ def _ints(values, names, error: type = DimensionMismatchError) -> tuple[int, ...
         raise error(f"each {names} entry must be an integer, got {x!r}")
     name = next(name for name, v in zip(names, values) if type(v) is not int)
     raise error(f"{name} must be an integer, got {x!r}")
+
+
+def _too_long(what: str) -> str:
+    """The message for ``what``, an integer past the interpreter's digit
+    limit on ``int()`` of text and ``str()`` of an integer."""
+    return f"{what} has more than {sys.get_int_max_str_digits()} digits"
 
 
 def _fields(data: dict, keys: tuple[str, ...]) -> list:
@@ -281,7 +288,10 @@ class _Scanner:
             self.pos += 1
         if self.pos == digits:
             raise CoordinateSyntaxError("expected an integer", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # the only failure left: too many digits
+            raise CoordinateSyntaxError(_too_long("integer"), start) from None
 
     def int_block(self) -> list[int]:
         values = [self.integer()]
@@ -326,13 +336,17 @@ def _parse_blocks(text: str) -> list[list[int]]:
     """The four integer blocks of ``(x,...; x,...; x,...; x,...)``.
 
     Valid text is matched by one regex and split by ``str.split``/``int``;
-    only text the regex rejects goes to the scanner, which raises the
-    error naming the offending position.
+    only text the regex rejects, or with an integer too long for ``int()``,
+    goes to the scanner, which raises the error naming the offending
+    position.
     """
     if _GRAMMAR.fullmatch(text) is None:
         return _scan_blocks(text)
     inner = "".join(text.split())[1:-1]  # no whitespace: int() skips less than isspace()
-    return [list(map(int, block.split(","))) for block in inner.split(";")]
+    try:
+        return [list(map(int, block.split(","))) for block in inner.split(";")]
+    except ValueError:  # too many digits for int(): the scanner names where
+        return _scan_blocks(text)
 
 
 def parse_coords(text: str, n: int | None = None) -> DynnikovCoordinates:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .components import ComponentProfile, profile
-from .coords import DynnikovCoordinates, TriangleCoordinates, _ints
+from .coords import DynnikovCoordinates, TriangleCoordinates, _ints, _too_long
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -149,7 +149,10 @@ def parse_curve(text: str) -> ElementaryCurve:
         parts = [part.strip() for part in tail.split(",")]
         if len(parts) != count or not all(_INDEX.fullmatch(part) for part in parts):
             raise InvalidParameterError(f"{head} needs {what}, got {text!r}")
-        return [int(part) for part in parts]
+        try:
+            return [int(part) for part in parts]
+        except ValueError:  # the only failure left: too many digits
+            raise InvalidParameterError(_too_long(f"{head} index")) from None
 
     if head == "Cij":
         return ElementaryCurve.Cij(*indices(2, "two integer indices"))

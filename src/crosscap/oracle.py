@@ -14,7 +14,8 @@ on one side:
 * or the mirror image anchored on the right arc, turning in the first
   region.
 
-:func:`_row` walks away from an arc once for every band the arc bounds.
+:func:`_row` walks away from an arc once for every band the arc bounds,
+and the diagram keeps each row it has traced.
 Every other chain crosses the curve exactly twice, so the crossings are
 the strand ends on the band's arcs minus twice the chains that clear it.
 Crossings with the curve threading both crosscaps follow from the count
@@ -140,14 +141,15 @@ def _row(gl: GluingDescription, arc: int, rightward: bool) -> list[list[int]]:
     return row
 
 
-def _band_counts(gl: GluingDescription, rows: dict, first: int, last: int) -> tuple:
+def _band_counts(gl: GluingDescription, first: int, last: int) -> tuple:
     """``(over, under, right, left, crossings)`` of the band
     ``first..last``: over, under and right loops from the rightward row of
     its left arc, left loops from the leftward row of its right arc (none
-    without the arc), traced into ``rows`` on first use.  Every chain has
-    both ends on the arcs, and each one that does not clear the band
-    crosses the curve twice.
+    without the arc), traced into the diagram's ``_rows`` on first use.
+    Every chain has both ends on the arcs, and each one that does not clear
+    the band crosses the curve twice.
     """
+    rows = gl._rows
     over = under = right = left = ends = 0
     for arc, rightward in ((first - 1, True), (last, False)):
         if 0 <= arc <= gl.n:
@@ -164,14 +166,13 @@ def _band_counts(gl: GluingDescription, rows: dict, first: int, last: int) -> tu
 
 def _traced_values(gl: GluingDescription, bands: tuple, d_at: tuple[int, ...]) -> list[int]:
     """Traced crossings with curves that passed their checks, given their
-    bands and the positions of ``D`` (see :func:`crosscap.intersect._layout`):
-    one row per boundary arc and direction (``D`` reads ``C``'s band).
+    bands and the positions of ``D`` (see :func:`crosscap.intersect._layout`),
+    read off the diagram's rows (``D`` reads ``C``'s band).
 
     ``D`` then takes the core passages counted over the glued bundles, by
     the same case split the closed formula uses.
     """
-    rows: dict[tuple[int, bool], list[list[int]]] = {}
-    out = [_band_counts(gl, rows, first, last)[4] for first, last in bands]
+    out = [_band_counts(gl, first, last)[4] for first, last in bands]
     if d_at:
         passes = [0, 0]  # core passages through crosscaps 1 and 2 (regions n, n+1)
         for b in gl.bundles:
@@ -208,7 +209,7 @@ def large_census(gl: GluingDescription, rng: RegionRange) -> tuple[int, int, int
     ``(over, under, right_loops, left_loops)``, read off the rows traced
     from the range's boundary arcs."""
     rng.check(gl.n)
-    return _band_counts(gl, {}, *_span(rng, gl.n))[:4]
+    return _band_counts(gl, *_span(rng, gl.n))[:4]
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +230,11 @@ class Divergence:
     traced: int
     triangle: dict
     profile: dict
+
+    @property
+    def reproduce(self) -> str:
+        """The command that prints the formula's value for this curve."""
+        return f'crosscap intersect "{self.coords}" --curve {self.curve}'
 
 
 @dataclass

@@ -2,15 +2,23 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from crosscap import oracle
 from crosscap.cli import main
 from crosscap.coords import parse_coords
 from crosscap.oracle import SelftestReport
+
+# the interpreter's limit on int() of decimal text and str() of an int
+# (4300 digits by default; 0 where there is none)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "1" * (DIGIT_LIMIT + 700)
 
 
 def python(*argv):
@@ -187,6 +195,53 @@ class TestErrors:
         assert sorted(json.loads(out)["large"]) == ["S'_(2,1)", "S'_(2,2)"]
 
 
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no digit limit in this interpreter")
+class TestDigitLimit:
+    """Integers past the interpreter's text-conversion limit are an input
+    error at every entry point, and the limit itself is left as it is."""
+
+    @pytest.fixture(autouse=True)
+    def limit_unchanged(self):
+        yield
+        assert sys.get_int_max_str_digits() == DIGIT_LIMIT
+
+    @pytest.mark.parametrize(
+        "cmd, text",
+        [
+            ("invert", f"({TOO_LONG}; 1,0; 0; 0,0)"),  # valid grammar: the regex path
+            ("invert", f"({TOO_LONG}; 1,0; 0; 0,0"),  # invalid: the scanner
+            ("coordinatize", f"(1,5; 6,4,4; 4; {TOO_LONG},0)"),
+        ],
+        ids=["regex", "scanner", "triangle"],
+    )
+    def test_long_coordinate_text_exits_one(self, capsys, cmd, text):
+        code, out, err = run(capsys, cmd, text)
+        assert code == 1 and out == ""
+        assert err.startswith("crosscap: error: integer has more than") and "digits" in err
+
+    def test_long_curve_index_exits_one(self, capsys):
+        code, out, err = run(capsys, "intersect", "(2; 1,0; -2; 2,0)", "--curve", f"Cij:1,{TOO_LONG}")
+        assert code == 1 and out == ""
+        assert err.startswith("crosscap: error: Cij index has more than")
+
+    def test_long_json_integer_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text(f'{{"n": 2, "a": [1], "b": [1, 0], "t": {TOO_LONG}, "c": [0, 0]}}')
+        code, out, err = run(capsys, "invert", "--file", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"crosscap: error: {path}: an integer has more than")
+
+    @pytest.mark.parametrize("cmd", ["invert", "profile", "intersect"])
+    @pytest.mark.parametrize("as_json", [(), ("--json",)])
+    def test_output_past_the_limit_exits_one(self, capsys, cmd, as_json):
+        # a valid input at the limit whose output has one digit more
+        nines = "9" * DIGIT_LIMIT
+        extra = ("--all",) if cmd == "intersect" else ()
+        code, out, err = run(capsys, cmd, f"({nines}; 1,0; 0; 0,0)", *extra, *as_json)
+        assert code == 1 and out == ""
+        assert err.startswith("crosscap: error: an output integer has more than")
+
+
 class TestProfileAndRender:
     def test_profile_json_with_large(self, capsys):
         code, out, _ = run(
@@ -260,6 +315,33 @@ class TestSelftest:
         code, _, err = run(capsys, "selftest", "--bound", "1", "--jobs", "-1")
         assert code == 1
         assert err.startswith("crosscap: error:") and "--jobs" in err
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_divergence_prints_a_reproducer(self, capsys, monkeypatch, as_json):
+        # a forced divergence on every curve; each reproducer prints the formula's value
+        traced_values = oracle._traced_values
+        monkeypatch.setattr(
+            oracle, "_traced_values", lambda *a: [x + 1 for x in traced_values(*a)]
+        )
+        argv = ["selftest", "--n", "2", "--bound", "1", "--jobs", "1"]
+        code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+        assert code == 2
+        if as_json:
+            cases = [(d["reproduce"], d["formula"]) for d in json.loads(out)["first_divergences"]]
+        else:
+            lines = err.splitlines()
+            cases = []
+            for line, below in zip(lines, lines[1:]):
+                if m := re.match(r"DIVERGENCE .* formula=(-?\d+) ", line):
+                    assert below.startswith("  reproduce: crosscap intersect ")
+                    cases.append((below.removeprefix("  reproduce: "), int(m.group(1))))
+        assert len(cases) == 5
+        for command, formula in cases:
+            crosscap, *args = shlex.split(command)
+            assert crosscap == "crosscap" and args[0] == "intersect"
+            code, out, _ = run(capsys, *args, "--json")
+            assert code == 0
+            assert json.loads(out)["value"] == formula
 
     def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
         # records the job count instead of sweeping, so no worker starts

@@ -1,6 +1,9 @@
 """The strand-tracing oracle and the grid self-test machinery."""
 
 import itertools
+import json
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,19 +18,25 @@ from crosscap.components import (
 )
 from crosscap.coords import DynnikovCoordinates, TriangleCoordinates, parse_coords
 from crosscap.errors import NonprimitiveContentError, UnsupportedCurveError
-from crosscap.intersect import ElementaryCurve, elementary_coords
+from crosscap import oracle
+from crosscap.intersect import ElementaryCurve, _catalog_layout, catalog, elementary_coords
 from crosscap.inversion import invert, realizable
 from crosscap.large import _span
 from crosscap.oracle import (
     _band_counts,
+    _row,
+    _traced_values,
     build_diagram,
     compare_point,
     count_crossings,
     grid_points,
     grid_size,
+    large_census,
     run_selftest,
 )
+from crosscap.render import RenderSpec, render_svg
 from slot_trace import NEGATIVE_C, sample_vectors, slot_census
+from test_components import GOLDEN, GOLDEN_VECTORS
 from test_large import all_ranges
 
 EX1 = TriangleCoordinates(n=2, alpha=(1, 5), beta=(6, 4, 4), gamma=4, c1=2, c2=0)
@@ -150,11 +159,10 @@ class TestIntervalTracing:
         # negative-c vectors
         for v in sample_vectors():
             gl = build_diagram(profile(invert(v)))
-            rows = {}
             for rng in all_ranges(v.n):
                 band = _span(rng, v.n)
                 ref = slot_census(gl, *band)
-                assert _band_counts(gl, rows, *band) == (
+                assert _band_counts(gl, *band) == (
                     ref["over"], ref["under"], ref["right"], ref["left"], 2 * ref[None]
                 ), (v, rng)
 
@@ -176,6 +184,85 @@ class TestIntervalTracing:
         if not realizable(v):
             v = DynnikovCoordinates(n=n, a=a, b=b, t=t + 1, c1=c1, c2=c2)
         assert compare_point(v) == []
+
+
+def memo_vectors(n, count=12):
+    """Seeded realizable vectors with ``n`` punctures, entries up to 50
+    and ``c1, c2 >= 0``."""
+    rng = random.Random(n)
+    out = []
+    for _ in range(count):
+        a = tuple(rng.randint(-50, 50) for _ in range(n - 1))
+        b = tuple(rng.randint(-50, 50) for _ in range(n))
+        t, c1, c2 = rng.randint(-50, 50), rng.randint(0, 50), rng.randint(1, 50)
+        v = DynnikovCoordinates(n=n, a=a, b=b, t=t, c1=c1, c2=c2)
+        if not realizable(v):
+            v = DynnikovCoordinates(n=n, a=a, b=b, t=t + 1, c1=c1, c2=c2)
+        out.append(v)
+    return out
+
+
+def trace_everything(gl):
+    """Every catalog curve one call at a time, then every range, then the
+    whole catalog at once: each reads the diagram's rows."""
+    for curve in catalog(gl.n):
+        count_crossings(gl, curve)
+    for rng in all_ranges(gl.n):
+        large_census(gl, rng)
+    layout = _catalog_layout(gl.n)
+    return _traced_values(gl, layout.bands, layout.d_at)
+
+
+class TestRowMemo:
+    @pytest.mark.parametrize("n", [2, 3, 12])
+    def test_each_row_traced_once_per_diagram(self, n, monkeypatch):
+        traced = Counter()
+
+        def counting_row(gl, arc, rightward):
+            traced[id(gl), arc, rightward] += 1
+            return _row(gl, arc, rightward)
+
+        monkeypatch.setattr(oracle, "_row", counting_row)
+        for v in memo_vectors(n):
+            traced.clear()
+            gl = build_diagram(profile(invert(v)))
+            trace_everything(gl)
+            trace_everything(gl)
+            assert traced and max(traced.values()) == 1, v
+
+    def test_memo_matches_fresh_diagram_and_slot_reference(self):
+        # rows traced first, then every range read off them
+        for v in sample_vectors():
+            prof = profile(invert(v))
+            gl = build_diagram(prof)
+            if v.c1 >= 0 and v.c2 >= 0:
+                layout = _catalog_layout(v.n)
+                fresh = _traced_values(build_diagram(prof), layout.bands, layout.d_at)
+                assert trace_everything(gl) == fresh, v
+            else:  # no catalog values: the ranges alone fill the rows
+                for rng in all_ranges(v.n):
+                    large_census(gl, rng)
+            for rng in all_ranges(v.n):
+                band = _span(rng, v.n)
+                ref = slot_census(gl, *band)
+                assert _band_counts(gl, *band) == (
+                    ref["over"], ref["under"], ref["right"], ref["left"], 2 * ref[None]
+                ), (v, rng)
+            # every kept row is the row a freshly built diagram traces
+            fresh = build_diagram(prof)
+            assert all(row == _row(fresh, *key) for key, row in gl._rows.items()), v
+
+    def test_tracing_leaves_the_diagram_as_it_was(self):
+        for name, text in sorted(GOLDEN_VECTORS.items()):
+            gl = build_diagram(profile(invert(parse_coords(text))))
+            before = (hash(gl), repr(gl), gl.to_dict())
+            for rng in all_ranges(gl.n):
+                large_census(gl, rng)
+            assert gl._rows
+            assert gl == build_diagram(profile(invert(parse_coords(text))))
+            assert (hash(gl), repr(gl), gl.to_dict()) == before
+            assert json.dumps(gl.to_dict(), indent=1) + "\n" == (GOLDEN / f"{name}.json").read_text()
+            assert render_svg(gl, RenderSpec()) == (GOLDEN / f"{name}.svg").read_text()
 
 
 class TestGrid:
