@@ -230,6 +230,7 @@ def _cmd_selftest(args) -> int:
         "points_checked": report.points_checked,
         "divergences": len(report.divergences),
         "elapsed_seconds": round(report.elapsed, 3),
+        "points_per_second": round(report.points_per_second, 1),
     }
     if args.json:
         summary["first_divergences"] = [
@@ -240,7 +241,7 @@ def _cmd_selftest(args) -> int:
         print(
             f"checked {report.points_checked} of {report.points_total} grid points "
             f"(n={report.n}, bound={report.bound}, c in [0,{report.cmax}]) "
-            f"in {report.elapsed:.1f}s"
+            f"in {report.elapsed:.1f}s ({report.points_per_second:.0f} points/s)"
         )
         for d in report.divergences:
             print(

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coords import TriangleCoordinates
+from .coords import TriangleCoordinates, _unchecked
 from .errors import EndpointMismatchError
 
 __all__ = [
@@ -86,6 +86,9 @@ class NonprimitiveCurves:
 
     def any(self) -> bool:
         return bool(self.core1 or self.bounding1 or self.core2 or self.bounding2)
+
+
+_NO_NONPRIMITIVES = NonprimitiveCurves(0, 0, 0, 0)
 
 
 def _side(b: int) -> str:
@@ -194,38 +197,45 @@ class ComponentProfile:
 def profile(tri: TriangleCoordinates) -> ComponentProfile:
     """Species counts forced by the crossing counts ``tri``.
 
-    ``TriangleCoordinates`` construction already rejects counts that no
-    multicurve realizes, so this never fails on an existing instance.
+    ``TriangleCoordinates`` construction already rejects counts whose
+    species counts would be negative, so this never fails on an existing
+    instance.  The counts are computed in one pass over the
+    half-differences and the profile is built unchecked.
     """
-    n = tri.n
-    b = tri.half_differences()
-    above = tuple(tri.alpha[2 * k] - abs(b[k]) for k in range(n - 1))
-    below = tuple(tri.alpha[2 * k + 1] - abs(b[k]) for k in range(n - 1))
-    bn = b[-1]
+    n, alpha, beta = tri.n, tri.alpha, tri.beta
+    above, below, loops, sides = [], [], [], []
+    for k in range(n - 1):
+        d = (beta[k] - beta[k + 1]) // 2
+        loops.append(abs(d))
+        above.append(alpha[2 * k] - abs(d))
+        below.append(alpha[2 * k + 1] - abs(d))
+        sides.append(_side(d))
+    bn = (beta[n - 1] - beta[n]) // 2
     c1p = max(tri.c1, 0)
     c2p = max(tri.c2, 0)
     psi = max(c1p - abs(bn), 0)
-    core1 = min(abs(bn), c1p)
-    noncore1 = max(abs(bn) - c1p, 0)
-    cross1_above = tri.gamma // 2 - psi - abs(bn)
-    cross1_below = max(tri.beta[-2], tri.beta[-1]) - tri.gamma // 2 - abs(bn)
-    return ComponentProfile(
+    half_gamma = tri.gamma // 2
+    return _unchecked(
+        ComponentProfile,
         n=n,
-        beta=tri.beta,
-        s0_loops=tri.beta[0] // 2,
-        above=above,
-        below=below,
-        loops=tuple(abs(x) for x in b[: n - 1]),
-        sides=tuple(_side(x) for x in b[: n - 1]),
-        cross1_above=cross1_above,
-        cross1_below=cross1_below,
+        beta=beta,
+        s0_loops=beta[0] // 2,
+        above=tuple(above),
+        below=tuple(below),
+        loops=tuple(loops),
+        sides=tuple(sides),
+        cross1_above=half_gamma - psi - abs(bn),
+        cross1_below=max(beta[n - 1], beta[n]) - half_gamma - abs(bn),
         straight_cores=psi,
-        cross1_core_loops=core1,
-        cross1_noncore_loops=noncore1,
+        cross1_core_loops=min(abs(bn), c1p),
+        cross1_noncore_loops=max(abs(bn) - c1p, 0),
         cross1_side=_side(bn),
         cross2_core_loops=c2p,
-        cross2_noncore_loops=tri.beta[-1] // 2 - c2p,
-        nonprimitive=NonprimitiveCurves.from_c(tri.c1, tri.c2),
+        cross2_noncore_loops=beta[n] // 2 - c2p,
+        nonprimitive=(
+            _NO_NONPRIMITIVES if tri.c1 >= 0 and tri.c2 >= 0
+            else NonprimitiveCurves.from_c(tri.c1, tri.c2)
+        ),
     )
 
 
@@ -383,7 +393,9 @@ def reconstruct(prof: ComponentProfile) -> GluingDescription:
 
     def block(region: int, species: str, width: int, ends=(), flip=False):
         if width > 0:
-            bundles.append(Bundle(region, species, ends, width, flip))
+            bundles.append(_unchecked(
+                Bundle, region=region, species=species, ends=ends, width=width, reversed=flip
+            ))
 
     block(0, LOOP_LEFT, prof.s0_loops, ((0, 0), (0, prof.s0_loops)), True)
 
@@ -435,7 +447,8 @@ def reconstruct(prof: ComponentProfile) -> GluingDescription:
                     else f"unfilled slot {top} on arc {arc + 1}"
                 )
 
-    return GluingDescription(
+    return _unchecked(
+        GluingDescription,
         n=n,
         arc_sizes=sizes,
         bundles=tuple(bundles),

@@ -23,6 +23,12 @@ crossing counts: ``c_k = -1`` is the core curve of crosscap ``k``,
 
 All arithmetic is exact (Python integers never overflow).  Every type here
 is an immutable value object, safe to share between threads.
+
+Public construction validates: the dataclass constructors, ``from_dict``,
+the text parsers and ``dataclasses.replace`` all run every check.  Values
+the library computes from ints it has already checked (``invert``,
+``coordinatize``, ``profile``, ``reconstruct``) are built unchecked by
+:func:`_unchecked`; the test suite holds them to the same checks.
 """
 
 from __future__ import annotations
@@ -72,6 +78,17 @@ def _ints(values, names, error: type = DimensionMismatchError) -> tuple[int, ...
         raise error(f"each {names} entry must be an integer, got {x!r}")
     name = next(name for name, v in zip(names, values) if type(v) is not int)
     raise error(f"{name} must be an integer, got {x!r}")
+
+
+def _unchecked(cls, **fields):
+    """A ``cls`` instance holding ``fields``, built without running
+    ``__init__``: no validation, no conversion.  Only for values the
+    library computed itself from checked ints, never for user input; the
+    result is indistinguishable from a validated instance under ``==``,
+    ``hash``, ``repr``, pickling and ``cached_property``."""
+    obj = object.__new__(cls)
+    object.__setattr__(obj, "__dict__", fields)  # a frozen dataclass refuses plain assignment
+    return obj
 
 
 def _too_long(what: str) -> str:
@@ -155,7 +172,9 @@ class DynnikovCoordinates:
 class TriangleCoordinates:
     """Minimal crossing counts ``(alpha; beta; gamma; c1, c2)``.
 
-    Construction enforces everything a multicurve forces on these counts:
+    Public construction enforces these necessary conditions on counts of
+    a multicurve (not sufficient: :func:`crosscap.inversion.coordinatize`
+    rejects counts that pass them but that no multicurve has):
 
     * ``alpha`` (length 2n-2), ``beta`` (length n+1) and ``gamma`` are
       nonnegative, every ``beta_i`` and ``gamma`` are even, and the two

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coords import DynnikovCoordinates, TriangleCoordinates
-from .errors import UnrealizableCoordinatesError
+from .coords import DynnikovCoordinates, TriangleCoordinates, _unchecked
+from .errors import InconsistentTriangleError, UnrealizableCoordinatesError, ZeroVectorError
 
 __all__ = ["InversionIntermediates", "intermediates", "invert", "coordinatize", "realizable"]
 
@@ -55,6 +55,11 @@ class InversionIntermediates:
 
 def intermediates(coords: DynnikovCoordinates) -> InversionIntermediates:
     """Compute ``x``, ``y``, ``beta_star`` and ``r`` for ``coords``."""
+    x, y, beta_star, r = _intermediates(coords)
+    return InversionIntermediates(x=x, y=y, beta_star=tuple(beta_star), r=r)
+
+
+def _intermediates(coords: DynnikovCoordinates) -> tuple[int, int, list[int], int]:
     a, b, t = coords.a, coords.b, coords.t
     n = coords.n
     bn = b[-1]
@@ -77,7 +82,7 @@ def intermediates(coords: DynnikovCoordinates) -> InversionIntermediates:
         acc += 2 * bi
         beta_star.append(m - acc)
     r = max(0, 2 * coords.c2 - beta_star[-1])
-    return InversionIntermediates(x=x, y=y, beta_star=tuple(beta_star), r=r)
+    return x, y, beta_star, r
 
 
 def invert(coords: DynnikovCoordinates) -> TriangleCoordinates:
@@ -86,7 +91,8 @@ def invert(coords: DynnikovCoordinates) -> TriangleCoordinates:
     Raises :class:`UnrealizableCoordinatesError` when ``coords`` is outside
     the image of the coordinate map (see :func:`realizable`); every
     realizable vector yields counts satisfying all the
-    :class:`TriangleCoordinates` invariants.
+    :class:`TriangleCoordinates` invariants, so the result is built
+    unchecked (the tests construct it through the checks).
     """
     a, b, t = coords.a, coords.b, coords.t
     n = coords.n
@@ -98,11 +104,11 @@ def invert(coords: DynnikovCoordinates) -> TriangleCoordinates:
             "no multicurve has these coordinates"
         )
 
-    inter = intermediates(coords)
+    _, _, beta_star, r = _intermediates(coords)
     # The shift is added once: it raises beta_{n+1} to exactly 2*c2, the
     # least value hosting c2 core crossings. Adding it twice would pad the
     # curve with boundary-parallel junk.
-    beta = tuple(bs + inter.r for bs in inter.beta_star)
+    beta = tuple(bs + r for bs in beta_star)
 
     alpha = []
     for k in range(n - 1):
@@ -113,8 +119,9 @@ def invert(coords: DynnikovCoordinates) -> TriangleCoordinates:
     above = (t - psi + max(beta[n - 1], beta[n]) - 2 * abs(bn)) // 2
     gamma = 2 * (above + abs(bn) + psi)
 
-    return TriangleCoordinates(
-        n=n, alpha=tuple(alpha), beta=beta, gamma=gamma, c1=coords.c1, c2=coords.c2
+    return _unchecked(
+        TriangleCoordinates,
+        n=n, alpha=tuple(alpha), beta=beta, gamma=gamma, c1=coords.c1, c2=coords.c2,
     )
 
 
@@ -125,6 +132,10 @@ def coordinatize(tri: TriangleCoordinates) -> DynnikovCoordinates:
     ``gamma - max(c1^+ - |b_n|, 0) - max(beta_n, beta_{n+1})``, which equals
     the above-minus-below imbalance at the first crosscap without having to
     materialize either count.
+
+    Raises :class:`ZeroVectorError` for counts whose vector is zero and
+    :class:`InconsistentTriangleError` for other counts that no multicurve
+    has: those the vector does not invert back to.
     """
     n = tri.n
     b = tri.half_differences()
@@ -133,4 +144,12 @@ def coordinatize(tri: TriangleCoordinates) -> DynnikovCoordinates:
     )
     psi = _straight_cores(tri.c1, b[-1])
     t = tri.gamma - psi - max(tri.beta[-2], tri.beta[-1])
-    return DynnikovCoordinates(n=n, a=a, b=b, t=t, c1=tri.c1, c2=tri.c2)
+    if not (any(a) or any(b) or t or tri.c1 or tri.c2):
+        raise ZeroVectorError("the zero vector encodes no multicurve")
+    coords = _unchecked(DynnikovCoordinates, n=n, a=a, b=b, t=t, c1=tri.c1, c2=tri.c2)
+    if invert(coords) != tri:
+        raise InconsistentTriangleError(
+            "no multicurve has these crossing counts: "
+            "the vector they give inverts to other counts"
+        )
+    return coords

@@ -50,7 +50,7 @@ from .components import (
     profile,
     reconstruct,
 )
-from .coords import DynnikovCoordinates, format_coords
+from .coords import DynnikovCoordinates, _unchecked, format_coords
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -251,6 +251,11 @@ class SelftestReport:
     def ok(self) -> bool:
         return not self.divergences
 
+    @property
+    def points_per_second(self) -> float:
+        """Checked points per second of the sweep (0 before it has run)."""
+        return self.points_checked / self.elapsed if self.elapsed > 0 else 0.0
+
 
 def grid_size(n: int, bound: int, cmax: int) -> int:
     """Points in the box: a, b, t entries in [-bound, bound], c in [0, cmax]."""
@@ -278,12 +283,14 @@ def _decode(n: int, bound: int, cmax: int, idx: int) -> tuple:
 
 
 def _points(n: int, bound: int, cmax: int, indices: range) -> Iterator[DynnikovCoordinates]:
-    """The realizable nonzero vectors among the grid ``indices``."""
+    """The realizable nonzero vectors among the grid ``indices``, built
+    unchecked: the decoder's ints have the right shape, and the zero vector
+    is skipped here."""
     for idx in indices:
         a, b, t, c1, c2 = _decode(n, bound, cmax, idx)
         if not (any(a) or any(b) or t or c1 or c2):
             continue
-        coords = DynnikovCoordinates(n=n, a=a, b=b, t=t, c1=c1, c2=c2)
+        coords = _unchecked(DynnikovCoordinates, n=n, a=a, b=b, t=t, c1=c1, c2=c2)
         if realizable(coords):
             yield coords
 

@@ -141,6 +141,13 @@ class TestErrors:
         assert code == 1
         assert "parity" in err
 
+    def test_counts_no_multicurve_has_exit_one(self, capsys):
+        # they pass every TriangleCoordinates check, but their vector
+        # (1; -1,-2; 0; 2,0) inverts to (1,3; 2,4,8; 8; 2,0)
+        code, out, err = run(capsys, "coordinatize", "(3,5; 0,2,6; 6; 2,0)")
+        assert code == 1 and out == ""
+        assert err.startswith("crosscap: error:") and "no multicurve" in err
+
     def test_bad_flag_exits_one(self, capsys):
         code, _, _ = run(capsys, "invert", "(1; 1,0; 0; 0,0)", "--bogus")
         assert code == 1
@@ -289,6 +296,16 @@ class TestSelftest:
         data = json.loads(out.strip() or "{}")
         assert data["divergences"] == 0
         assert data["points_checked"] > 0
+        assert data["points_per_second"] > 0
+
+    def test_text_report_gives_throughput(self, capsys, monkeypatch):
+        report = SelftestReport(n=2, bound=1, cmax=1, points_total=9, points_checked=6, elapsed=0.5)
+        monkeypatch.setattr("crosscap.cli.run_selftest", lambda **_: report)
+        code, out, _ = run(capsys, "selftest", "--jobs", "1")
+        assert code == 0
+        assert "in 0.5s (12 points/s)" in out.splitlines()[0]
+        code, out, _ = run(capsys, "selftest", "--jobs", "1", "--json")
+        assert json.loads(out)["points_per_second"] == 12.0
 
     @pytest.mark.parametrize(
         "argv",

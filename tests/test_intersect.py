@@ -308,7 +308,8 @@ class TestStructuralProperties:
                         assert value % 2 == 0, (v, curve)
 
     def test_symmetry_between_catalog_curves(self):
-        for n in (2, 3):
+        # n >= 5 covers D, which criterion 7 checks only at n = 2, 3
+        for n in (2, 3, 5, 8, 12):
             curves = catalog(n)
             for e1, e2 in itertools.combinations(curves, 2):
                 v1 = elementary_coords(e1, n)
@@ -317,6 +318,28 @@ class TestStructuralProperties:
                     e1,
                     e2,
                 )
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 64])
+    def test_homogeneity_off_d(self, n):
+        # i(kL, E) = k i(L, E): k parallel copies of a multicurve cross E
+        # k times as often (D is left out: its rule is not yet trusted)
+        rnd = random.Random(n)
+        for magnitude in (1, 10, 10**3, 10**6):
+            for _ in range(10 if n == 64 else 25):
+                v = random_vector(rnd, n, magnitude)
+                base = elementary_values(v)
+                for k in (2, 3, 4):
+                    kv = DynnikovCoordinates(
+                        n=n,
+                        a=tuple(k * x for x in v.a),
+                        b=tuple(k * x for x in v.b),
+                        t=k * v.t,
+                        c1=k * v.c1,
+                        c2=k * v.c2,
+                    )
+                    for (curve, value), (_, scaled) in zip(base, elementary_values(kv)):
+                        if curve.kind != "D":
+                            assert scaled == k * value, (v, k, curve)
 
     def test_self_intersection_zero_across_catalog(self):
         for n in (2, 3):

@@ -1,12 +1,19 @@
 """Vector <-> crossing-count conversion, both directions."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crosscap.coords import DynnikovCoordinates, TriangleCoordinates, parse_coords
-from crosscap.errors import UnrealizableCoordinatesError, ZeroVectorError
+from crosscap.components import profile, reconstruct
+from crosscap.coords import DynnikovCoordinates, TriangleCoordinates, parse_coords, parse_triangle
+from crosscap.errors import (
+    InconsistentTriangleError,
+    ParityViolationError,
+    UnrealizableCoordinatesError,
+    ZeroVectorError,
+)
 from crosscap.inversion import coordinatize, intermediates, invert, realizable
 
 
@@ -109,6 +116,50 @@ class TestCoordinatize:
         with pytest.raises(ZeroVectorError):
             coordinatize(tri)
 
+    def test_counts_no_multicurve_has_are_rejected(self):
+        # its vector (1; -1,-2; 0; 2,0) inverts to (1,3; 2,4,8; 8; 2,0)
+        with pytest.raises(InconsistentTriangleError, match="no multicurve"):
+            coordinatize(parse_triangle("(3,5; 0,2,6; 6; 2,0)"))
+        # these pass endpoint conservation, so they even glue
+        tri = parse_triangle("(1,7; 8,8,8; 8; 0,2)")
+        reconstruct(profile(tri))
+        with pytest.raises(InconsistentTriangleError, match="no multicurve"):
+            coordinatize(tri)
+
+    def test_zero_vector_error_comes_first(self):
+        # beta all equal, balanced alpha pairs and gamma = max(beta_n, beta_{n+1}):
+        # every entry of the vector is zero, so the round trip is not tried
+        tri = TriangleCoordinates(n=2, alpha=(1, 1), beta=(2, 2, 2), gamma=2, c1=0, c2=0)
+        with pytest.raises(ZeroVectorError):
+            coordinatize(tri)
+
+    def test_constructible_triangles_round_trip_or_are_rejected(self):
+        rnd = random.Random(20261019)
+        outcomes = {"round trip": 0, "rejected": 0}
+        for _ in range(20000):
+            n = rnd.choice((2, 3))
+            try:
+                tri = TriangleCoordinates(
+                    n=n,
+                    alpha=tuple(rnd.randint(0, 8) for _ in range(2 * n - 2)),
+                    beta=tuple(2 * rnd.randint(0, 4) for _ in range(n + 1)),
+                    gamma=2 * rnd.randint(0, 4),
+                    c1=rnd.randint(0, 3),
+                    c2=rnd.randint(0, 3),
+                )
+            except (InconsistentTriangleError, ParityViolationError):
+                continue  # not constructible
+            try:
+                v = coordinatize(tri)
+            except ZeroVectorError:
+                continue
+            except InconsistentTriangleError:
+                outcomes["rejected"] += 1
+                continue
+            assert invert(v) == tri, tri
+            outcomes["round trip"] += 1
+        assert min(outcomes.values()) > 100, outcomes
+
 
 class TestRoundTrips:
     @settings(max_examples=300, deadline=None)
@@ -138,7 +189,8 @@ class TestRoundTrips:
     @settings(max_examples=200, deadline=None)
     @given(boxed_vectors(bound=6, cmax=6))
     def test_output_satisfies_type_invariants(self, v):
-        # TriangleCoordinates construction would raise on any parity or
-        # negativity violation, so plain success is the assertion.
+        # invert builds its result unchecked; the public constructor raises
+        # on any parity or negativity violation, so equality is the assertion.
         if realizable(v):
-            invert(v)
+            tri = invert(v)
+            assert TriangleCoordinates(**vars(tri)) == tri

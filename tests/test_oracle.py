@@ -31,6 +31,7 @@ from crosscap.oracle import (
     count_crossings,
     grid_points,
     grid_size,
+    SelftestReport,
     large_census,
     run_selftest,
 )
@@ -274,6 +275,11 @@ class TestGrid:
         pts = list(grid_points(2, 1, 1))
         assert all(any(p.entries()) for p in pts)
         assert len(pts) == sum(1 for _ in grid_points(2, 1, 1))
+
+    def test_points_per_second(self):
+        report = run_selftest(n=2, bound=1, jobs=1)
+        assert report.points_per_second == report.points_checked / report.elapsed > 0
+        assert SelftestReport(n=2, bound=1, cmax=1).points_per_second == 0.0
 
     def test_compare_point_clean_on_examples(self):
         assert compare_point(parse_coords("(2; 1,0; -2; 2,0)")) == []
