@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coords import TriangleCoordinates, _unchecked
+from .coords import TriangleCoordinates, _straight_cores, _unchecked
 from .errors import EndpointMismatchError
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "NonprimitiveCurves",
     "ComponentProfile",
     "profile",
-    "Link",
     "Bundle",
     "GluingDescription",
     "reconstruct",
@@ -213,7 +212,7 @@ def profile(tri: TriangleCoordinates) -> ComponentProfile:
     bn = (beta[n - 1] - beta[n]) // 2
     c1p = max(tri.c1, 0)
     c2p = max(tri.c2, 0)
-    psi = max(c1p - abs(bn), 0)
+    psi = _straight_cores(tri.c1, bn)
     half_gamma = tri.gamma // 2
     return _unchecked(
         ComponentProfile,
@@ -237,22 +236,6 @@ def profile(tri: TriangleCoordinates) -> ComponentProfile:
             else NonprimitiveCurves.from_c(tri.c1, tri.c2)
         ),
     )
-
-
-@dataclass(frozen=True)
-class Link:
-    """One path component: a species tag plus its arc slots.
-
-    ``slots`` holds ``(arc, slot)`` pairs, 0-based, slots counted from the
-    top of the arc; pass-through components have one slot on each
-    neighbouring arc, loops two slots on their anchor arc, and whole
-    non-primitive curves none.  A link's id is its position in
-    :attr:`GluingDescription.links`.
-    """
-
-    region: int
-    species: str
-    slots: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -295,75 +278,6 @@ class GluingDescription:
         (:func:`crosscap.oracle._band_counts`): the gluing is immutable, so
         none goes stale.  No field, so outside ``==``, ``hash`` and ``repr``."""
         return {}
-
-    @property
-    def links(self) -> tuple[Link, ...]:
-        """The per-slot expansion: one :class:`Link` per component, built
-        afresh on each access.
-
-        Bundles expand in order; below components are numbered from the
-        bottom of the arc, every other block from the top of its first end.
-        """
-        out: list[Link] = []
-        for b in self.bundles:
-            if not b.ends:
-                out += [Link(b.region, b.species, ())] * b.width
-                continue
-            (arc0, first0), (arc1, first1) = b.ends
-            w = b.width
-            for i in range(w - 1, -1, -1) if b.species == BELOW else range(w):
-                j = w - 1 - i if b.reversed else i
-                out.append(Link(b.region, b.species, ((arc0, first0 + i), (arc1, first1 + j))))
-        return tuple(out)
-
-    def closed_components(self) -> list[list[int]]:
-        """Each multicurve component as the cycle of link ids it runs through.
-
-        Whole non-primitive curves appear as singleton cycles.
-        """
-        links = self.links
-        # (region, arc, slot) -> the link of that region in that slot
-        holder = {
-            (lk.region, arc, slot): lid
-            for lid, lk in enumerate(links)
-            for arc, slot in lk.slots
-        }
-        seen: set[int] = set()
-        out: list[list[int]] = []
-        for start, lk in enumerate(links):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            if lk.slots:
-                lid, pos = start, lk.slots[0]
-                while True:
-                    # leave by the link's other slot and cross that arc
-                    region, (s1, s2) = links[lid].region, links[lid].slots
-                    pos = s2 if pos == s1 else s1
-                    arc, slot = pos
-                    lid = holder[arc + 1 if region == arc else arc, arc, slot]
-                    if lid == start:
-                        break
-                    cycle.append(lid)
-                    seen.add(lid)
-            out.append(cycle)
-        return out
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "arc_strands": list(self.arc_sizes),
-            "links": [
-                {
-                    "id": lid,
-                    "region": lk.region,
-                    "species": lk.species,
-                    "slots": [list(s) for s in lk.slots],
-                }
-                for lid, lk in enumerate(self.links)
-            ],
-        }
 
 
 def reconstruct(prof: ComponentProfile) -> GluingDescription:

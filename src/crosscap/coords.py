@@ -91,6 +91,11 @@ def _unchecked(cls, **fields):
     return obj
 
 
+def _straight_cores(c1: int, bn: int) -> int:
+    """Strands forced through the first crosscap: ``max(c1^+ - |b_n|, 0)``."""
+    return max(max(c1, 0) - abs(bn), 0)
+
+
 def _too_long(what: str) -> str:
     """The message for ``what``, an integer past the interpreter's digit
     limit on ``int()`` of text and ``str()`` of an integer."""
@@ -238,7 +243,7 @@ class TriangleCoordinates:
                     f"negative below count at puncture {k + 2}"
                 )
         bn = b[-1]
-        psi = max(max(self.c1, 0) - abs(bn), 0)
+        psi = _straight_cores(self.c1, bn)
         if self.gamma // 2 - psi - abs(bn) < 0:
             raise InconsistentTriangleError("negative above count at first crosscap")
         if max(self.beta[-2], self.beta[-1]) - self.gamma // 2 - abs(bn) < 0:

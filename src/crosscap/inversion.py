@@ -15,15 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coords import DynnikovCoordinates, TriangleCoordinates, _unchecked
+from .coords import DynnikovCoordinates, TriangleCoordinates, _straight_cores, _unchecked
 from .errors import InconsistentTriangleError, UnrealizableCoordinatesError, ZeroVectorError
 
 __all__ = ["InversionIntermediates", "intermediates", "invert", "coordinatize", "realizable"]
-
-
-def _straight_cores(c1: int, bn: int) -> int:
-    """Strands forced through the first crosscap: ``max(c1^+ - |b_n|, 0)``."""
-    return max(max(c1, 0) - abs(bn), 0)
 
 
 def realizable(coords: DynnikovCoordinates) -> bool:

@@ -24,6 +24,7 @@ from .components import (
     STRAIGHT_CORE,
     GluingDescription,
 )
+from .coords import _ints
 from .errors import InvalidParameterError
 
 __all__ = ["RenderSpec", "render_svg"]
@@ -54,6 +55,11 @@ class RenderSpec:
     spacing: int = 90
 
     def __post_init__(self):
+        _ints(
+            (self.width, self.height, self.spacing),
+            ("width", "height", "spacing"),
+            InvalidParameterError,
+        )
         if self.width < 0 or self.height < 0:
             raise InvalidParameterError("canvas dimensions cannot be negative")
         if self.spacing <= 0:
@@ -100,7 +106,8 @@ class _Canvas:
 
 
 def render_svg(gl: GluingDescription, spec: RenderSpec | None = None) -> str:
-    """One SVG 1.1 document for the glued diagram."""
+    """One SVG 1.1 document for the glued diagram; ``InvalidParameterError``
+    when its coordinates do not fit a float."""
     spec = spec or RenderSpec()
     n = gl.n
     sp, gap, rad = spec.spacing, _SLOT_GAP, _MARKER_RADIUS
@@ -117,6 +124,10 @@ def render_svg(gl: GluingDescription, spec: RenderSpec | None = None) -> str:
     content_h = max(max_slots * gap + 2 * rad + 40, 6 * rad)
     width = spec.width or int(sp * (n + 3))
     height = spec.height or int(content_h + 40)
+    try:  # every coordinate drawn is at most a few times the largest of these
+        float(4 * max(width, height, content_h, sp * (n + 3)))
+    except OverflowError:
+        raise InvalidParameterError("the picture is too large to draw") from None
     cy = height / 2
 
     def slot_y(arc: int, slot: int) -> float:
@@ -141,76 +152,74 @@ def render_svg(gl: GluingDescription, spec: RenderSpec | None = None) -> str:
         cv.line(x - off, cy - off, x + off, cy + off, "#000000", width=1.0)
         cv.line(x - off, cy + off, x + off, cy - off, "#000000", width=1.0)
 
-    for lk in gl.links:
-        color = _STYLES[lk.species]
-        region = lk.region
-        if lk.species == CORE_CURVE:
+    # Strand i of a bundle joins offset i of its first end to offset i of
+    # its second, or w-1-i when reversed; below strands are drawn from the
+    # bottom of the arc.
+    for bd in gl.bundles:
+        species, region, w = bd.species, bd.region, bd.width
+        color = _STYLES[species]
+        if not bd.ends:  # whole non-primitive curves, drawn once per copy
             x = marker_x(n + 1 if region == n else n + 2)
-            cv.line(x, cy - rad, x, cy + rad, color, width=1.4, dash="5,3")
+            for _ in range(w):
+                if species == CORE_CURVE:
+                    cv.line(x, cy - rad, x, cy + rad, color, width=1.4, dash="5,3")
+                else:
+                    cv.circle(x, cy, rad + 5, color, dash="5,3")
             continue
-        if lk.species == BOUNDING_CURVE:
-            x = marker_x(n + 1 if region == n else n + 2)
-            cv.circle(x, cy, rad + 5, color, dash="5,3")
-            continue
-        if lk.species in (ABOVE, BELOW):
-            (a1, s1), (a2, s2) = lk.slots
-            x1, y1 = arc_x(a1), slot_y(a1, s1)
-            x2, y2 = arc_x(a2), slot_y(a2, s2)
-            sign = -1 if lk.species == ABOVE else 1
-            clear = cy + sign * (rad + 6)
-            ym = min(y1, y2, clear) if sign < 0 else max(y1, y2, clear)
-            xm = (x1 + x2) / 2
-            cv.path(
-                f"M {_fmt(x1)} {_fmt(y1)} C {_fmt(xm)} {_fmt(ym)},"
-                f" {_fmt(xm)} {_fmt(ym)}, {_fmt(x2)} {_fmt(y2)}",
-                color,
-            )
-            continue
-        if lk.species in (LOOP_LEFT, LOOP_RIGHT, NONCORE_LOOP):
-            # Bulge past the marker from the anchor arc.
-            (a1, s1), (a2, s2) = lk.slots
-            x = arc_x(a1)
-            y1, y2 = slot_y(a1, s1), slot_y(a2, s2)
-            mk = marker_x(region + 1)
-            rightward = lk.species == LOOP_RIGHT or (
-                lk.species == NONCORE_LOOP and a1 == region - 1
-            )
-            if rightward:
-                bulge = (mk - x) + rad + 8 + abs(y1 - cy) / 3
-            else:
-                bulge = -((x - mk) + rad + 8 + abs(y1 - cy) / 3)
-            cv.path(
-                f"M {_fmt(x)} {_fmt(y1)} C {_fmt(x + bulge)} {_fmt(y1)},"
-                f" {_fmt(x + bulge)} {_fmt(y2)}, {_fmt(x)} {_fmt(y2)}",
-                color,
-            )
-            continue
-        if lk.species == STRAIGHT_CORE:
-            (a1, s1), (a2, s2) = lk.slots
-            ccx = marker_x(n + 1)
-            xl, yl = (arc_x(a1), slot_y(a1, s1))
-            xr, yr = (arc_x(a2), slot_y(a2, s2))
-            if a1 > a2:
-                xl, yl, xr, yr = xr, yr, xl, yl
-            cv.line(xl, yl, ccx - rad * 0.8, cy - 4, color)
-            cv.line(ccx + rad * 0.8, cy + 4, xr, yr, color)
-            continue
-        if lk.species == CORE_LOOP:
-            (a1, s1), (a2, s2) = lk.slots
-            ccx = marker_x(n + 1 if region == n else n + 2)
-            x = arc_x(a1)
-            y_in, y_out = slot_y(a1, s1), slot_y(a2, s2)
-            toward = 1 if ccx > x else -1
-            # entry arm into the crosscap, wrap arm back around below it
-            cv.line(x, y_in, ccx - toward * rad * 0.5, cy - rad * 0.8, color)
-            start_x, start_y = ccx + toward * rad * 0.5, cy + rad * 0.8
-            below = cy + rad + 10 + abs(y_out - cy) / 3
-            cv.path(
-                f"M {_fmt(start_x)} {_fmt(start_y)} C {_fmt(start_x)} {_fmt(below)},"
-                f" {_fmt(x)} {_fmt(below)}, {_fmt(x)} {_fmt(y_out)}",
-                color,
-            )
-            continue
+        (a1, first1), (a2, first2) = bd.ends
+        for i in range(w - 1, -1, -1) if species == BELOW else range(w):
+            s1, s2 = first1 + i, first2 + (w - 1 - i if bd.reversed else i)
+            if species in (ABOVE, BELOW):
+                x1, y1 = arc_x(a1), slot_y(a1, s1)
+                x2, y2 = arc_x(a2), slot_y(a2, s2)
+                sign = -1 if species == ABOVE else 1
+                clear = cy + sign * (rad + 6)
+                ym = min(y1, y2, clear) if sign < 0 else max(y1, y2, clear)
+                xm = (x1 + x2) / 2
+                cv.path(
+                    f"M {_fmt(x1)} {_fmt(y1)} C {_fmt(xm)} {_fmt(ym)},"
+                    f" {_fmt(xm)} {_fmt(ym)}, {_fmt(x2)} {_fmt(y2)}",
+                    color,
+                )
+            elif species in (LOOP_LEFT, LOOP_RIGHT, NONCORE_LOOP):
+                # Bulge past the marker from the anchor arc.
+                x = arc_x(a1)
+                y1, y2 = slot_y(a1, s1), slot_y(a2, s2)
+                mk = marker_x(region + 1)
+                rightward = species == LOOP_RIGHT or (
+                    species == NONCORE_LOOP and a1 == region - 1
+                )
+                if rightward:
+                    bulge = (mk - x) + rad + 8 + abs(y1 - cy) / 3
+                else:
+                    bulge = -((x - mk) + rad + 8 + abs(y1 - cy) / 3)
+                cv.path(
+                    f"M {_fmt(x)} {_fmt(y1)} C {_fmt(x + bulge)} {_fmt(y1)},"
+                    f" {_fmt(x + bulge)} {_fmt(y2)}, {_fmt(x)} {_fmt(y2)}",
+                    color,
+                )
+            elif species == STRAIGHT_CORE:
+                ccx = marker_x(n + 1)
+                xl, yl = (arc_x(a1), slot_y(a1, s1))
+                xr, yr = (arc_x(a2), slot_y(a2, s2))
+                if a1 > a2:
+                    xl, yl, xr, yr = xr, yr, xl, yl
+                cv.line(xl, yl, ccx - rad * 0.8, cy - 4, color)
+                cv.line(ccx + rad * 0.8, cy + 4, xr, yr, color)
+            elif species == CORE_LOOP:
+                ccx = marker_x(n + 1 if region == n else n + 2)
+                x = arc_x(a1)
+                y_in, y_out = slot_y(a1, s1), slot_y(a2, s2)
+                toward = 1 if ccx > x else -1
+                # entry arm into the crosscap, wrap arm back around below it
+                cv.line(x, y_in, ccx - toward * rad * 0.5, cy - rad * 0.8, color)
+                start_x, start_y = ccx + toward * rad * 0.5, cy + rad * 0.8
+                below = cy + rad + 10 + abs(y_out - cy) / 3
+                cv.path(
+                    f"M {_fmt(start_x)} {_fmt(start_y)} C {_fmt(start_x)} {_fmt(below)},"
+                    f" {_fmt(x)} {_fmt(below)}, {_fmt(x)} {_fmt(y_out)}",
+                    color,
+                )
 
     body = "\n".join(cv.parts)
     return (

@@ -1,14 +1,17 @@
-"""The per-slot strand tracer, kept as the reference for the oracle's
-interval tracer.
+"""The per-slot view of the gluing, kept as the reference for the
+library's bundles and the oracle's interval tracer.
 
-It walks every strand of a band one slot at a time over the gluing's
-per-slot expansion (``GluingDescription.links``) and classifies each whole
-chain once by its list of links, as the oracle did before it traced
-bundles.
+:func:`links` expands a gluing's bundles into one :class:`Link` per
+component, :func:`closed_components` walks those links around each
+component, and :func:`gluing_dict` is the golden JSON of a gluing.  The
+per-slot strand tracer walks every strand of a band one slot at a time over
+the links and classifies each whole chain once by its list of links, as the
+oracle did before it traced bundles.
 """
 
 import itertools
 from collections import Counter
+from typing import NamedTuple
 
 from crosscap.components import ABOVE, BELOW, LOOP_LEFT, LOOP_RIGHT, NONCORE_LOOP
 from crosscap.coords import parse_coords
@@ -32,12 +35,98 @@ def sample_vectors():
     )
 
 
+class Link(NamedTuple):
+    """One path component: a species tag plus its arc slots.
+
+    ``slots`` holds ``(arc, slot)`` pairs, 0-based, slots counted from the
+    top of the arc; pass-through components have one slot on each
+    neighbouring arc, loops two slots on their anchor arc, and whole
+    non-primitive curves none.  A link's id is its position in
+    :func:`links`.
+    """
+
+    region: int
+    species: str
+    slots: tuple
+
+
+def links(gl):
+    """The per-slot expansion of ``gl``: one :class:`Link` per component.
+
+    Bundles expand in order; below components are numbered from the bottom
+    of the arc, every other block from the top of its first end.
+    """
+    out = []
+    for b in gl.bundles:
+        if not b.ends:
+            out += [Link(b.region, b.species, ())] * b.width
+            continue
+        (arc0, first0), (arc1, first1) = b.ends
+        w = b.width
+        for i in range(w - 1, -1, -1) if b.species == BELOW else range(w):
+            j = w - 1 - i if b.reversed else i
+            out.append(Link(b.region, b.species, ((arc0, first0 + i), (arc1, first1 + j))))
+    return tuple(out)
+
+
+def closed_components(gl):
+    """Each multicurve component as the cycle of link ids it runs through.
+
+    Whole non-primitive curves appear as singleton cycles.
+    """
+    lks = links(gl)
+    # (region, arc, slot) -> the link of that region in that slot
+    holder = {
+        (lk.region, arc, slot): lid
+        for lid, lk in enumerate(lks)
+        for arc, slot in lk.slots
+    }
+    seen = set()
+    out = []
+    for start, lk in enumerate(lks):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        if lk.slots:
+            lid, pos = start, lk.slots[0]
+            while True:
+                # leave by the link's other slot and cross that arc
+                region, (s1, s2) = lks[lid].region, lks[lid].slots
+                pos = s2 if pos == s1 else s1
+                arc, slot = pos
+                lid = holder[arc + 1 if region == arc else arc, arc, slot]
+                if lid == start:
+                    break
+                cycle.append(lid)
+                seen.add(lid)
+        out.append(cycle)
+    return out
+
+
+def gluing_dict(gl):
+    """The golden JSON form of ``gl``: its arc sizes and every link."""
+    return {
+        "n": gl.n,
+        "arc_strands": list(gl.arc_sizes),
+        "links": [
+            {
+                "id": lid,
+                "region": lk.region,
+                "species": lk.species,
+                "slots": [list(s) for s in lk.slots],
+            }
+            for lid, lk in enumerate(links(gl))
+        ],
+    }
+
+
 def slot_tables(gl):
     """``(left, right)``: per arc and slot, the id of the link occupying it
     from the region on either side (``None`` where no link does)."""
     left = [[None] * size for size in gl.arc_sizes]
     right = [[None] * size for size in gl.arc_sizes]
-    for lid, lk in enumerate(gl.links):
+    for lid, lk in enumerate(links(gl)):
         for arc, slot in lk.slots:
             (left if lk.region == arc else right)[arc][slot] = lid
     return left, right
@@ -50,7 +139,7 @@ def trace_band(gl, first, last):
     ``"left"``/``"right"`` for the band's boundary arcs.
     """
     n = gl.n
-    links = gl.links
+    lks = links(gl)
     left_links, right_links = slot_tables(gl)
     left_arc = first - 1 if first >= 1 else None
     right_arc = last if last <= n else None
@@ -71,7 +160,7 @@ def trace_band(gl, first, last):
         used.add(pos)
         seq = []
         while True:
-            lk = links[lid]
+            lk = lks[lid]
             seq.append(lk)
             # leave by the link's other slot and cross that arc
             s1, s2 = lk.slots

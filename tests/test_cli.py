@@ -277,6 +277,21 @@ class TestProfileAndRender:
         assert out.startswith("<?xml") and out.rstrip().endswith("</svg>")
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("(2; 1,0; -2; 2,0)", "--spacing", str(10**400)),
+            ("(2; 1,0; -2; 2,0)", "--width", str(10**400)),
+            ("(2; 1,0; -2; 2,0)", "--height", str(10**400)),
+            (f"({'9' * 309}; 1,0; -2; 2,0)",),
+        ],
+    )
+    def test_render_past_a_float_is_one_error_line(self, capsys, argv):
+        code, out, err = run(capsys, "render", *argv)
+        assert code == 1 and out == ""
+        assert err == "crosscap: error: the picture is too large to draw\n"
+
+
 class TestSelftest:
     def test_small_grid_exits_zero(self, capsys):
         code, out, _ = run(capsys, "selftest", "--n", "2", "--bound", "1", "--jobs", "1")

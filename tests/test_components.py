@@ -26,7 +26,7 @@ from crosscap.coords import DynnikovCoordinates, TriangleCoordinates, parse_coor
 from crosscap.errors import EndpointMismatchError, ParityViolationError
 from crosscap.inversion import invert, realizable
 from paper_forms import _paper_literal_crosscap_above_below
-from slot_trace import sample_vectors
+from slot_trace import gluing_dict, links, sample_vectors
 
 GOLDEN = Path(__file__).parent / "golden"
 # Gluing JSON and rendered SVG pinned from the per-slot gluing, which
@@ -141,7 +141,7 @@ class TestProfile:
 
 def _census(gl):
     counts = {}
-    for lk in gl.links:
+    for lk in links(gl):
         counts[(lk.region, lk.species)] = counts.get((lk.region, lk.species), 0) + 1
     return counts
 
@@ -173,29 +173,29 @@ class TestReconstruct:
     def test_empty_profile_gives_empty_description(self):
         tri = TriangleCoordinates(n=2, alpha=(0, 0), beta=(0, 0, 0), gamma=0, c1=0, c2=0)
         gl = reconstruct(profile(tri))
-        assert gl.links == ()
+        assert links(gl) == ()
         assert gl.arc_sizes == (0, 0, 0)
 
     def test_nonprimitive_components_are_closed_links(self):
         tri = TriangleCoordinates(n=2, alpha=(0, 0), beta=(0, 0, 0), gamma=0, c1=-3, c2=-2)
         gl = reconstruct(profile(tri))
-        species = sorted(lk.species for lk in gl.links)
+        species = sorted(lk.species for lk in links(gl))
         assert species == ["bounding_curve", "bounding_curve", "core_curve"]
-        assert all(lk.slots == () for lk in gl.links)
+        assert all(lk.slots == () for lk in links(gl))
 
     def test_every_slot_filled_once_per_side(self):
         # the per-slot expansion, on EX1 and the oracle's reference sample
         profiles = [profile(EX1), *(profile(invert(v)) for v in sample_vectors())]
         for p in profiles:
             gl = reconstruct(p)
-            links = gl.links
+            lks = links(gl)
             for arc, size in enumerate(gl.arc_sizes):
                 assert sorted(
-                    slot for lk in links for a, slot in lk.slots
+                    slot for lk in lks for a, slot in lk.slots
                     if a == arc and lk.region == arc
                 ) == list(range(size)), p
                 assert sorted(
-                    slot for lk in links for a, slot in lk.slots
+                    slot for lk in lks for a, slot in lk.slots
                     if a == arc and lk.region == arc + 1
                 ) == list(range(size)), p
 
@@ -215,12 +215,12 @@ class TestReconstruct:
     def test_golden_gluing_and_render(self, name, capsys):
         text = GOLDEN_VECTORS[name]
         gl = reconstruct(profile(invert(parse_coords(text))))
-        assert json.dumps(gl.to_dict(), indent=1) + "\n" == (GOLDEN / f"{name}.json").read_text()
+        assert json.dumps(gluing_dict(gl), indent=1) + "\n" == (GOLDEN / f"{name}.json").read_text()
         assert main(["render", text]) == 0
         assert capsys.readouterr().out == (GOLDEN / f"{name}.svg").read_text()
 
     def test_json_shape(self):
-        d = reconstruct(profile(EX2)).to_dict()
+        d = gluing_dict(reconstruct(profile(EX2)))
         assert d["arc_strands"] == [4, 2, 2]
         assert all({"id", "region", "species", "slots"} <= set(e) for e in d["links"])
 

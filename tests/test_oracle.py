@@ -36,7 +36,7 @@ from crosscap.oracle import (
     run_selftest,
 )
 from crosscap.render import RenderSpec, render_svg
-from slot_trace import NEGATIVE_C, sample_vectors, slot_census
+from slot_trace import NEGATIVE_C, closed_components, gluing_dict, links, sample_vectors, slot_census
 from test_components import GOLDEN, GOLDEN_VECTORS
 from test_large import all_ranges
 
@@ -45,7 +45,7 @@ EX2 = TriangleCoordinates(n=2, alpha=(3, 1), beta=(4, 2, 2), gamma=4, c1=1, c2=1
 
 
 def species_count(gl, species, region):
-    return sum(1 for lk in gl.links if lk.species == species and lk.region == region)
+    return sum(1 for lk in links(gl) if lk.species == species and lk.region == region)
 
 
 def link_census(gl):
@@ -54,7 +54,7 @@ def link_census(gl):
     n = gl.n
     passes1 = species_count(gl, STRAIGHT_CORE, n) + species_count(gl, CORE_LOOP, n)
     passes2 = species_count(gl, CORE_LOOP, n + 1)
-    nonprimitive = any(lk.species in (CORE_CURVE, BOUNDING_CURVE) for lk in gl.links)
+    nonprimitive = any(lk.species in (CORE_CURVE, BOUNDING_CURVE) for lk in links(gl))
     return passes1, passes2, nonprimitive
 
 
@@ -91,30 +91,30 @@ class TestBuildDiagram:
     def test_determinism(self):
         a = build_diagram(profile(EX1))
         b = build_diagram(profile(EX1))
-        assert [lk.slots for lk in a.links] == [lk.slots for lk in b.links]
+        assert [lk.slots for lk in links(a)] == [lk.slots for lk in links(b)]
         assert a == b
 
     def test_closed_components_of_final_example(self):
         # the final example is a single closed curve through 8 links
         dg = build_diagram(profile(EX2))
-        comps = dg.closed_components()
+        comps = closed_components(dg)
         assert sorted(len(c) for c in comps) == [8]
 
     def test_closed_components_with_nonprimitives(self):
         tri = TriangleCoordinates(n=2, alpha=(0, 0), beta=(0, 0, 0), gamma=0, c1=-1, c2=-2)
-        comps = build_diagram(profile(tri)).closed_components()
+        comps = closed_components(build_diagram(profile(tri)))
         assert sorted(len(c) for c in comps) == [1, 1]
 
     def test_closed_components_partition_the_links(self):
         for p in sampled_profiles():
             dg = build_diagram(p)
-            ids = [lid for cycle in dg.closed_components() for lid in cycle]
-            assert sorted(ids) == list(range(len(dg.links))), p
+            ids = [lid for cycle in closed_components(dg) for lid in cycle]
+            assert sorted(ids) == list(range(len(links(dg)))), p
 
     def test_two_crosscap_curve_is_one_component(self):
         v = elementary_coords(ElementaryCurve.D(), 2)
         dg = build_diagram(profile(invert(v)))
-        comps = dg.closed_components()
+        comps = closed_components(dg)
         assert len(comps) == 1
         assert species_count(dg, CORE_LOOP, 2) == species_count(dg, CORE_LOOP, 3) == 1
 
@@ -256,13 +256,13 @@ class TestRowMemo:
     def test_tracing_leaves_the_diagram_as_it_was(self):
         for name, text in sorted(GOLDEN_VECTORS.items()):
             gl = build_diagram(profile(invert(parse_coords(text))))
-            before = (hash(gl), repr(gl), gl.to_dict())
+            before = (hash(gl), repr(gl), gluing_dict(gl))
             for rng in all_ranges(gl.n):
                 large_census(gl, rng)
             assert gl._rows
             assert gl == build_diagram(profile(invert(parse_coords(text))))
-            assert (hash(gl), repr(gl), gl.to_dict()) == before
-            assert json.dumps(gl.to_dict(), indent=1) + "\n" == (GOLDEN / f"{name}.json").read_text()
+            assert (hash(gl), repr(gl), gluing_dict(gl)) == before
+            assert json.dumps(gluing_dict(gl), indent=1) + "\n" == (GOLDEN / f"{name}.json").read_text()
             assert render_svg(gl, RenderSpec()) == (GOLDEN / f"{name}.svg").read_text()
 
 
