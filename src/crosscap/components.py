@@ -124,8 +124,7 @@ class ComponentProfile:
     cross2_noncore_loops: int
     nonprimitive: NonprimitiveCurves
 
-    @cached_property
-    def regions(self) -> tuple[tuple[int, int, int, int, int, str], ...]:
+    def _regions(self) -> tuple[tuple[int, int, int, int, int, str], ...]:
         """``(above, below, straight cores, core loops, non-core loops,
         side)`` of each region ``0..n+1``: ``S_0`` holds only loops, on the
         left, the second crosscap region only loops, on the right, and the
@@ -144,6 +143,10 @@ class ComponentProfile:
             ),
             (0, 0, 0, self.cross2_core_loops, self.cross2_noncore_loops, "right"),
         )
+
+    # :func:`profile` stores it when it builds the profile; a profile built
+    # through the constructor computes it on first use
+    regions = cached_property(_regions)
 
     def endpoints_on_arc(self, arc: int) -> tuple[int, int]:
         """Component endpoints on arc ``arc`` (0-based) from its two sides:
@@ -199,7 +202,8 @@ def profile(tri: TriangleCoordinates) -> ComponentProfile:
     ``TriangleCoordinates`` construction already rejects counts whose
     species counts would be negative, so this never fails on an existing
     instance.  The counts are computed in one pass over the
-    half-differences and the profile is built unchecked.
+    half-differences and the profile is built unchecked, its ``regions``
+    stored with it.
     """
     n, alpha, beta = tri.n, tri.alpha, tri.beta
     above, below, loops, sides = [], [], [], []
@@ -214,7 +218,7 @@ def profile(tri: TriangleCoordinates) -> ComponentProfile:
     c2p = max(tri.c2, 0)
     psi = _straight_cores(tri.c1, bn)
     half_gamma = tri.gamma // 2
-    return _unchecked(
+    prof = _unchecked(
         ComponentProfile,
         n=n,
         beta=beta,
@@ -236,6 +240,8 @@ def profile(tri: TriangleCoordinates) -> ComponentProfile:
             else NonprimitiveCurves.from_c(tri.c1, tri.c2)
         ),
     )
+    vars(prof)["regions"] = prof._regions()
+    return prof
 
 
 @dataclass(frozen=True)
@@ -276,7 +282,9 @@ class GluingDescription:
     def _rows(self) -> dict[tuple[int, bool], list[list[int]]]:
         """The oracle's rows by ``(arc, rightward)``, traced on first use
         (:func:`crosscap.oracle._band_counts`): the gluing is immutable, so
-        none goes stale.  No field, so outside ``==``, ``hash`` and ``repr``."""
+        none goes stale.  No field, so outside ``==``, ``hash`` and ``repr``.
+        :func:`reconstruct` stores it empty; a diagram built through the
+        constructor makes it here on first use."""
         return {}
 
 
@@ -304,9 +312,14 @@ def reconstruct(prof: ComponentProfile) -> GluingDescription:
 
     sizes = prof.beta
     bundles: list[Bundle] = []
+    left_ends: list[list[tuple[int, int, int]]] = [[] for _ in sizes]
+    right_ends: list[list[tuple[int, int, int]]] = [[] for _ in sizes]
 
     def block(region: int, species: str, width: int, ends=(), flip=False):
         if width > 0:
+            bid = len(bundles)
+            for end, (arc, first) in enumerate(ends):
+                (left_ends if region == arc else right_ends)[arc].append((first, bid, end))
             bundles.append(_unchecked(
                 Bundle, region=region, species=species, ends=ends, width=width, reversed=flip
             ))
@@ -338,11 +351,6 @@ def reconstruct(prof: ComponentProfile) -> GluingDescription:
     block(n + 1, CORE_CURVE, whole.core2)
     block(n + 1, BOUNDING_CURVE, whole.bounding2)
 
-    left_ends: list[list[tuple[int, int, int]]] = [[] for _ in sizes]
-    right_ends: list[list[tuple[int, int, int]]] = [[] for _ in sizes]
-    for bid, b in enumerate(bundles):
-        for end, (arc, first) in enumerate(b.ends):
-            (left_ends if b.region == arc else right_ends)[arc].append((first, bid, end))
     # The ends on each side of each arc must tile its slots exactly.
     for arc, size in enumerate(sizes):
         for ends in (left_ends[arc], right_ends[arc]):
@@ -368,4 +376,5 @@ def reconstruct(prof: ComponentProfile) -> GluingDescription:
         bundles=tuple(bundles),
         left_ends=tuple(map(tuple, left_ends)),
         right_ends=tuple(map(tuple, right_ends)),
+        _rows={},
     )

@@ -85,7 +85,8 @@ def _unchecked(cls, **fields):
     ``__init__``: no validation, no conversion.  Only for values the
     library computed itself from checked ints, never for user input; the
     result is indistinguishable from a validated instance under ``==``,
-    ``hash``, ``repr``, pickling and ``cached_property``."""
+    ``hash``, ``repr``, pickling and ``cached_property``.  ``fields`` may
+    also hold a ``cached_property``'s value, which is then never computed."""
     obj = object.__new__(cls)
     object.__setattr__(obj, "__dict__", fields)  # a frozen dataclass refuses plain assignment
     return obj

@@ -297,9 +297,7 @@ def _formula_values(tri: TriangleCoordinates, prof: ComponentProfile, layout: _L
     Each value is its range's crossing total off the row; ``D`` then
     corrects the ``C`` count.
     """
-    totals: list[int] = []
-    for first in layout.firsts:
-        totals += _row(prof, first)[0]
+    totals = _row(prof, layout.firsts)[0]
     out = list(map(totals.__getitem__, layout.index))
     c1, c2 = tri.c1, tri.c2
     for k in layout.d_at:

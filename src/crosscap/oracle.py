@@ -32,7 +32,6 @@ from __future__ import annotations
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterator
 
 from .components import (
@@ -50,7 +49,7 @@ from .components import (
     profile,
     reconstruct,
 )
-from .coords import DynnikovCoordinates, _unchecked, format_coords
+from .coords import DynnikovCoordinates, _ints, _unchecked, format_coords
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -83,9 +82,6 @@ def build_diagram(prof: ComponentProfile) -> GluingDescription:
     return reconstruct(prof)
 
 
-_slot = itemgetter(0)
-
-
 def _row(gl: GluingDescription, arc: int, rightward: bool) -> list[list[int]]:
     """``[over, under, loops]`` per band bounded by ``arc`` on the left
     (``rightward``) or the right; entry ``p`` is the band of the ``p + 1``
@@ -99,45 +95,59 @@ def _row(gl: GluingDescription, arc: int, rightward: bool) -> list[list[int]]:
     below all the way back is one loop of entry ``p``: each loop is counted
     from its upper arm only, a one-region loop at end 0 of its bundle.
     Every other piece crosses what it has not cleared and is dropped.
+
+    Species are compared with ``==``: a diagram built through the public
+    constructors may hold strings equal to the tags but not the same object.
     """
-    bundles = gl.bundles
+    bundles, left_ends, right_ends = gl.bundles, gl.left_ends, gl.right_ends
     row = [[0, 0, 0] for _ in range(gl.n + 1 - arc if rightward else arc + 1)]
-    turn_species = (LOOP_RIGHT if rightward else LOOP_LEFT, NONCORE_LOOP)
-    ends = (gl.right_ends if rightward else gl.left_ends)[arc]
+    turn = LOOP_RIGHT if rightward else LOOP_LEFT
     # (slots lo..hi-1, the bundle ends they enter, row entry, out species, links to run back)
-    todo = [(0, gl.arc_sizes[arc], ends, 0, None, 0)]
+    todo = [(0, gl.arc_sizes[arc], (right_ends if rightward else left_ends)[arc], 0, None, 0)]
+    pop, push = todo.pop, todo.append
+    inf = float("inf")  # (lo, inf) sorts after every end starting at slot lo
     while todo:
-        lo, hi, ends, p, head, back = todo.pop()
-        i = bisect_right(ends, lo, key=_slot) - 1 if lo else 0
+        lo, hi, ends, p, head, back = pop()
+        i = bisect_right(ends, (lo, inf)) - 1 if lo else 0
         while lo < hi:
             start, bid, end = ends[i]
             i += 1
             b = bundles[bid]
-            top = min(hi, start + b.width)
+            top = start + b.width
+            if top > hi:
+                top = hi
+            piece, lo = lo, top  # this piece is slots piece..top-1
             species = b.species
-            step = None
             if back:  # on the way back: below, or it crosses
-                if species == BELOW and back > 1:
-                    step = p, head, back - 1
-                elif species == BELOW:
-                    row[p][2] += top - lo
-            elif species in turn_species:
-                if p and head == ABOVE:
-                    step = p, head, p
-                elif not p and end == 0:
-                    row[0][2] += top - lo
-            elif species in (ABOVE, BELOW) and (not p or species == head):
-                row[p][species == BELOW] += top - lo
-                step = p + 1, species, 0
-            if step:
-                out, other = b.ends[1 - end]
-                if b.reversed:
-                    lo2, hi2 = other + start + b.width - top, other + start + b.width - lo
-                else:
-                    lo2, hi2 = other + lo - start, other + top - start
-                across = gl.right_ends if b.region == out else gl.left_ends
-                todo.append((lo2, hi2, across[out], *step))
-            lo = top
+                if species != BELOW:
+                    continue
+                if back == 1:
+                    row[p][2] += top - piece
+                    continue
+                q, h, k = p, head, back - 1
+            elif species == ABOVE or species == BELOW:
+                if p and species != head:
+                    continue
+                row[p][species == BELOW] += top - piece
+                q, h, k = p + 1, species, 0
+            elif species == turn or species == NONCORE_LOOP:
+                if not p:
+                    if end == 0:
+                        row[0][2] += top - piece
+                    continue
+                if head != ABOVE:
+                    continue
+                q, h, k = p, head, p
+            else:
+                continue
+            out, other = b.ends[1 - end]
+            across = (right_ends if b.region == out else left_ends)[out]
+            if b.reversed:
+                other += start + b.width
+                push((other - top, other - piece, across, q, h, k))
+            else:
+                other -= start
+                push((other + piece, other + top, across, q, h, k))
     return row
 
 
@@ -154,9 +164,10 @@ def _band_counts(gl: GluingDescription, first: int, last: int) -> tuple:
     for arc, rightward in ((first - 1, True), (last, False)):
         if 0 <= arc <= gl.n:
             ends += gl.arc_sizes[arc]
-            if (arc, rightward) not in rows:
-                rows[arc, rightward] = _row(gl, arc, rightward)
-            entry = rows[arc, rightward][last - first]
+            row = rows.get((arc, rightward))
+            if row is None:
+                row = rows[arc, rightward] = _row(gl, arc, rightward)
+            entry = row[last - first]
             if rightward:
                 over, under, right = entry
             else:
@@ -164,29 +175,26 @@ def _band_counts(gl: GluingDescription, first: int, last: int) -> tuple:
     return over, under, right, left, ends - 2 * (over + under + right + left)
 
 
+def _d_value(gl: GluingDescription, c: int) -> int:
+    """``D``'s traced crossings from ``C``'s count ``c`` and the core
+    passages counted over the glued bundles, by the same case split the
+    closed formula uses."""
+    passes = [0, 0]  # core passages through crosscaps 1 and 2 (regions n, n+1)
+    for b in gl.bundles:
+        if b.species in (CORE_CURVE, BOUNDING_CURVE):
+            raise NonprimitiveContentError("diagram carries whole non-primitive components")
+        if b.species in (STRAIGHT_CORE, CORE_LOOP):
+            passes[b.region - gl.n] += b.width
+    return abs(passes[0] - passes[1]) if c == 0 else c - passes[0] - passes[1]
+
+
 def _traced_values(gl: GluingDescription, bands: tuple, d_at: tuple[int, ...]) -> list[int]:
     """Traced crossings with curves that passed their checks, given their
     bands and the positions of ``D`` (see :func:`crosscap.intersect._layout`),
-    read off the diagram's rows (``D`` reads ``C``'s band).
-
-    ``D`` then takes the core passages counted over the glued bundles, by
-    the same case split the closed formula uses.
-    """
+    read off the diagram's rows (``D`` reads ``C``'s band)."""
     out = [_band_counts(gl, first, last)[4] for first, last in bands]
-    if d_at:
-        passes = [0, 0]  # core passages through crosscaps 1 and 2 (regions n, n+1)
-        for b in gl.bundles:
-            if b.species in (CORE_CURVE, BOUNDING_CURVE):
-                raise NonprimitiveContentError(
-                    "diagram carries whole non-primitive components"
-                )
-            if b.species in (STRAIGHT_CORE, CORE_LOOP):
-                passes[b.region - gl.n] += b.width
-        for k in d_at:
-            if out[k] == 0:
-                out[k] = abs(passes[0] - passes[1])
-            else:
-                out[k] -= passes[0] + passes[1]
+    for k in d_at:
+        out[k] = _d_value(gl, out[k])
     return out
 
 
@@ -201,7 +209,8 @@ def count_crossings(gl: GluingDescription, curve: ElementaryCurve) -> int:
             f"no crossing rule for non-primitive curve {curve.label()}"
         )
     curve.check(gl.n)
-    return _traced_values(gl, (_band(curve, gl.n),), (0,) if curve.kind == "D" else ())[0]
+    crossings = _band_counts(gl, *_band(curve, gl.n))[4]
+    return _d_value(gl, crossings) if curve.kind == "D" else crossings
 
 
 def large_census(gl: GluingDescription, rng: RegionRange) -> tuple[int, int, int, int]:
@@ -257,9 +266,22 @@ class SelftestReport:
         return self.points_checked / self.elapsed if self.elapsed > 0 else 0.0
 
 
+def _box(n: int, bound: int, cmax: int, jobs: int = 1) -> int:
+    """Points in the box, after the one check of a sweep's arguments: exact
+    ints, ``n >= 2`` (else :class:`DimensionMismatchError`) and ``bound,
+    cmax >= 0`` (else :class:`InvalidParameterError`)."""
+    _ints((n,), ("n",), DimensionMismatchError)
+    if n < 2:
+        raise DimensionMismatchError(f"puncture count must be >= 2, got {n}")
+    _ints((bound, cmax, jobs), ("bound", "cmax", "jobs"), InvalidParameterError)
+    if bound < 0 or cmax < 0:
+        raise InvalidParameterError(f"bound and cmax must be >= 0, got {bound} and {cmax}")
+    return (2 * bound + 1) ** (2 * n) * (cmax + 1) ** 2
+
+
 def grid_size(n: int, bound: int, cmax: int) -> int:
     """Points in the box: a, b, t entries in [-bound, bound], c in [0, cmax]."""
-    return (2 * bound + 1) ** (2 * n) * (cmax + 1) ** 2
+    return _box(n, bound, cmax)
 
 
 def _decode(n: int, bound: int, cmax: int, idx: int) -> tuple:
@@ -341,18 +363,15 @@ def run_selftest(
     """Sweep the grid comparing every formula against the tracing oracle.
 
     ``cmax`` defaults to ``bound``.  With ``jobs > 1`` the grid is sharded
-    across worker processes (points are independent).  ``n < 2``, a
-    negative bound and a box with no point to check all raise a
-    :class:`CrosscapError`, so an empty sweep never reports agreement.
+    across worker processes (points are independent).  An argument that is
+    not an exact int, ``n < 2``, a negative bound and a box with no point
+    to check all raise a :class:`CrosscapError`, so an empty sweep never
+    reports agreement.
     The report keeps the first few divergences found.
     """
-    if n < 2:
-        raise DimensionMismatchError(f"puncture count must be >= 2, got {n}")
     if cmax is None:
         cmax = bound
-    if bound < 0 or cmax < 0:
-        raise InvalidParameterError(f"bound and cmax must be >= 0, got {bound} and {cmax}")
-    total = grid_size(n, bound, cmax)
+    total = _box(n, bound, cmax, jobs)
     report = SelftestReport(n=n, bound=bound, cmax=cmax, points_total=total)
     t0 = time.perf_counter()
     if jobs <= 1:

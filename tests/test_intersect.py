@@ -196,7 +196,7 @@ class TestRowLookupMatchesPerCurveLoop:
             shuffled = tuple(rnd.sample(curves, rnd.randint(1, len(curves))))
             repeated = tuple(rnd.choices(curves, k=len(curves) + 3))
             d = ElementaryCurve.D()
-            for chosen in (None, curves, shuffled, repeated, (d,), (d, ElementaryCurve.C(), d)):
+            for chosen in (None, curves, shuffled, repeated, (d,), (d, ElementaryCurve.C(), d), ()):
                 got = elementary_values(v, chosen)
                 chosen = curves if chosen is None else chosen
                 assert [c for c, _ in got] == list(chosen)

@@ -148,7 +148,7 @@ class TestLeftLoops:
         # undefined in the bundle; the row's counts for it, which its
         # crossing total subtracts, hold zero
         assert left_loops(EX2, RegionRange.through_second(1)) is None
-        assert _row(EX2, 1)[1][3] == 0
+        assert _row(EX2, (1,))[1][3] == 0
 
     def test_single_region_left_loops_are_large(self):
         p = profile(invert(DynnikovCoordinates(n=2, a=(0,), b=(-2, 0), t=0, c1=0, c2=0)))

@@ -13,11 +13,18 @@ from crosscap.components import (
     CORE_CURVE,
     CORE_LOOP,
     STRAIGHT_CORE,
+    Bundle,
+    GluingDescription,
     profile,
     reconstruct,
 )
 from crosscap.coords import DynnikovCoordinates, TriangleCoordinates, parse_coords
-from crosscap.errors import NonprimitiveContentError, UnsupportedCurveError
+from crosscap.errors import (
+    DimensionMismatchError,
+    InvalidParameterError,
+    NonprimitiveContentError,
+    UnsupportedCurveError,
+)
 from crosscap import oracle
 from crosscap.intersect import ElementaryCurve, _catalog_layout, catalog, elementary_coords
 from crosscap.inversion import invert, realizable
@@ -266,10 +273,94 @@ class TestRowMemo:
             assert render_svg(gl, RenderSpec()) == (GOLDEN / f"{name}.svg").read_text()
 
 
+def equal_species(gl):
+    """``gl`` rebuilt through the public constructors, each species a new
+    string equal to the library's tag but not the same object."""
+    bundles = tuple(
+        Bundle(
+            region=b.region,
+            species="".join(list(b.species)),
+            ends=b.ends,
+            width=b.width,
+            reversed=b.reversed,
+        )
+        for b in gl.bundles
+    )
+    assert all(c.species == b.species and c.species is not b.species for b, c in zip(gl.bundles, bundles))
+    return GluingDescription(
+        n=gl.n,
+        arc_sizes=gl.arc_sizes,
+        bundles=bundles,
+        left_ends=gl.left_ends,
+        right_ends=gl.right_ends,
+    )
+
+
+def magnitude_vectors(count=6, n=3, mag=10**3):
+    """Seeded realizable vectors with entries up to ``mag`` and ``c >= 0``."""
+    rnd = random.Random(mag + n)
+    out = []
+    while len(out) < count:
+        a = tuple(rnd.randint(-mag, mag) for _ in range(n - 1))
+        b = tuple(rnd.randint(-mag, mag) for _ in range(n))
+        v = DynnikovCoordinates(
+            n=n, a=a, b=b, t=rnd.randint(-mag, mag), c1=rnd.randint(0, mag), c2=rnd.randint(0, mag)
+        )
+        if realizable(v):
+            out.append(v)
+    return out
+
+
+class TestEqualSpecies:
+    """Species are compared by value: a diagram built through the public
+    constructors from equal but distinct strings traces as the library's."""
+
+    def test_counts_match_the_library_diagram(self):
+        vectors = [
+            *itertools.islice(sample_vectors(), 0, None, 7),
+            *map(parse_coords, NEGATIVE_C),
+            *magnitude_vectors(),
+        ]
+        assert any(v.c1 < 0 for v in vectors) and any(v.c1 > 100 for v in vectors)
+        for v in vectors:
+            gl = build_diagram(profile(invert(v)))
+            twin = equal_species(gl)
+            assert twin == gl
+            for rng in all_ranges(v.n):
+                assert large_census(twin, rng) == large_census(gl, rng), (v, rng)
+            if v.c1 >= 0 and v.c2 >= 0:
+                for curve in catalog(v.n):
+                    assert count_crossings(twin, curve) == count_crossings(gl, curve), (v, curve)
+
+
 class TestGrid:
     def test_grid_size(self):
         assert grid_size(2, 2, 2) == 5 ** 4 * 3 ** 2
         assert grid_size(2, 3, 3) == 7 ** 4 * 4 ** 2
+
+    @pytest.mark.parametrize(
+        "args, error, message",
+        [
+            ((2, 1.5, 1), InvalidParameterError, "bound must be an integer, got 1.5"),
+            ((2, 1, 1.0), InvalidParameterError, "cmax must be an integer, got 1.0"),
+            ((2, True, 1), InvalidParameterError, "bound must be an integer, got True"),
+            ((2.0, 1, 1), DimensionMismatchError, "n must be an integer, got 2.0"),
+            ((1, 1, 1), DimensionMismatchError, "puncture count must be >= 2, got 1"),
+            ((2, -2, 1), InvalidParameterError, "bound and cmax must be >= 0, got -2 and 1"),
+            ((2, 1, -3), InvalidParameterError, "bound and cmax must be >= 0, got 1 and -3"),
+        ],
+    )
+    def test_one_argument_check(self, args, error, message):
+        # the grid's size, its points and the sweep reject the same arguments alike
+        for call in (grid_size, grid_points, lambda *a: run_selftest(*a, jobs=1)):
+            with pytest.raises(error) as info:
+                call(*args)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("jobs", [True, 1.0, "2"])
+    def test_jobs_must_be_an_int(self, jobs):
+        with pytest.raises(InvalidParameterError, match="^jobs must be an integer"):
+            run_selftest(n=2, bound=1, jobs=jobs)
 
     def test_grid_points_are_realizable_and_nonzero(self):
         pts = list(grid_points(2, 1, 1))

@@ -19,7 +19,8 @@ from crosscap.coords import DynnikovCoordinates, TriangleCoordinates, parse_coor
 from crosscap.errors import ParityViolationError, ZeroVectorError
 from crosscap.intersect import catalog
 from crosscap.inversion import coordinatize, invert, realizable
-from crosscap.oracle import count_crossings, grid_points
+from crosscap.large import RegionRange
+from crosscap.oracle import count_crossings, grid_points, large_census
 
 BOUND = 3
 CMAX = 3
@@ -61,10 +62,12 @@ def check_triangle(v: DynnikovCoordinates) -> tuple[TriangleCoordinates, Compone
 
 def check_all(v: DynnikovCoordinates):
     """:func:`check_triangle`, and ``coordinatize`` and ``reconstruct``
-    rebuilt through their public constructors."""
+    rebuilt through their public constructors; the ``regions`` that
+    ``profile`` stores are the ones a checked profile computes."""
     tri, prof = check_triangle(v)
     back = coordinatize(tri)
     assert DynnikovCoordinates(**fields(back)) == back == v
+    assert vars(prof)["regions"] == ComponentProfile(**fields(prof)).regions, v
     gl = reconstruct(prof)
     rebuilt = GluingDescription(
         **{**fields(gl), "bundles": tuple(Bundle(**fields(b)) for b in gl.bundles)}
@@ -180,6 +183,27 @@ class TestIndistinguishable:
         values = [count_crossings(gl, curve) for curve in catalog(2)]
         assert gl._rows and gl == reconstruct(checked)
         assert values == [count_crossings(reconstruct(checked), curve) for curve in catalog(2)]
+
+    @pytest.mark.parametrize(
+        "text", ["(2; 1,0; -2; 2,0)", "(-1; 1,0; 1; 1,1)", "(0; 0,0; 0; -3,-2)"]
+    )
+    def test_stored_caches(self, text):
+        # profile stores its regions and reconstruct an empty row memo;
+        # neither shows in ==, hash or repr, traced or not
+        prof = profile(invert(parse_coords(text)))
+        checked = ComponentProfile(**fields(prof))
+        assert "regions" in vars(prof) and "regions" not in vars(checked)
+        assert prof.regions == checked.regions
+        gl = reconstruct(prof)
+        assert vars(gl)["_rows"] == {}
+        bare = GluingDescription(**fields(gl))
+        assert "_rows" not in vars(bare)
+        large_census(gl, RegionRange.through_first(1))
+        assert gl._rows and not bare._rows
+        for obj, other in ((prof, checked), (gl, bare)):
+            assert obj == other and hash(obj) == hash(other)
+            assert repr(obj) == repr(other)
+            assert "regions" not in repr(obj) and "_rows" not in repr(obj)
 
     def test_public_doors_still_check(self):
         tri = invert(parse_coords("(2; 1,0; -2; 2,0)"))
