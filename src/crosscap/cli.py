@@ -19,6 +19,7 @@ import sys
 
 from .components import profile, reconstruct
 from .coords import (
+    _ASCII_INT,
     DynnikovCoordinates,
     TriangleCoordinates,
     _too_long,
@@ -51,6 +52,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _int(text: str) -> int:
+    """An integer flag's value: ASCII digits, an optional sign and
+    surrounding whitespace, as coordinates and curve indices take them
+    (argparse's ``type=int`` also takes ``"٢"`` and ``"1_0"``).  Anything
+    else, or an integer too long for ``int()``, is argparse's usual error."""
+    if _ASCII_INT.fullmatch(text.strip()):
+        try:
+            return int(text)
+        except ValueError:  # too many digits
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _add_coords_input(sub: argparse.ArgumentParser, triangle: bool = False):
     what = "triangle" if triangle else "multicurve"
     sub.add_argument(
@@ -60,7 +74,7 @@ def _add_coords_input(sub: argparse.ArgumentParser, triangle: bool = False):
         + ('"(1,5; 6,4,4; 4; 2,0)"' if triangle else '"(2; 1,0; -2; 2,0)"'),
     )
     sub.add_argument("--file", help="read the coordinates from a JSON file")
-    sub.add_argument("--n", type=int, help="puncture count (cross-checked)")
+    sub.add_argument("--n", type=_int, help="puncture count (cross-checked)")
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -284,7 +298,7 @@ def main(argv=None) -> int:
     p.add_argument(
         "--large",
         nargs=2,
-        type=int,
+        type=_int,
         metavar=("L", "M"),
         help="also show large component counts for the range (L, M)",
     )
@@ -305,19 +319,19 @@ def main(argv=None) -> int:
     p = sub.add_parser("render", help="draw the multicurve as SVG")
     _add_coords_input(p)
     p.add_argument("--out", help="output file (stdout when omitted)")
-    p.add_argument("--width", type=int, default=0)
-    p.add_argument("--height", type=int, default=0)
-    p.add_argument("--spacing", type=int, default=90)
+    p.add_argument("--width", type=_int, default=0)
+    p.add_argument("--height", type=_int, default=0)
+    p.add_argument("--spacing", type=_int, default=90)
     p.set_defaults(fn=_cmd_render)
 
     p = sub.add_parser(
         "selftest", help="sweep a grid comparing formulas vs tracing"
     )
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--bound", type=int, default=2)
-    p.add_argument("--cmax", type=int, default=None)
+    p.add_argument("--n", type=_int, default=2)
+    p.add_argument("--bound", type=_int, default=2)
+    p.add_argument("--cmax", type=_int, default=None)
     p.add_argument(
-        "--jobs", type=int, default=0, help="worker processes (0 = auto, at most the CPUs)"
+        "--jobs", type=_int, default=0, help="worker processes (0 = auto, at most the CPUs)"
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_selftest)

@@ -90,14 +90,6 @@ class NonprimitiveCurves:
 _NO_NONPRIMITIVES = NonprimitiveCurves(0, 0, 0, 0)
 
 
-def _side(b: int) -> str:
-    if b > 0:
-        return "right"
-    if b < 0:
-        return "left"
-    return "none"
-
-
 @dataclass(frozen=True)
 class ComponentProfile:
     """Exact species counts per region for one minimal representative.
@@ -152,13 +144,8 @@ class ComponentProfile:
         """Component endpoints on arc ``arc`` (0-based) from its two sides:
         regions ``arc`` and ``arc + 1``, whose loops on that side end on it
         twice."""
-        (a, b, s, core, noncore, side), (a2, b2, s2, core2, noncore2, side2) = (
-            self.regions[arc : arc + 2]
-        )
-        return (
-            a + b + s + 2 * (core + noncore) * (side == "left"),
-            a2 + b2 + s2 + 2 * (core2 + noncore2) * (side2 == "right"),
-        )
+        (totals,) = _endpoint_totals(self.regions[arc : arc + 2])
+        return totals
 
     def to_dict(self) -> dict:
         return {
@@ -196,50 +183,75 @@ class ComponentProfile:
         }
 
 
+def _endpoint_totals(regions: tuple) -> list[tuple[int, int]]:
+    """Component endpoints on each arc between two adjacent ``regions``,
+    from the region on its left and from the one on its right, in one pass."""
+    return [
+        (
+            a + b + s + (2 * (core + noncore) if side == "left" else 0),
+            a2 + b2 + s2 + (2 * (core2 + noncore2) if side2 == "right" else 0),
+        )
+        for (a, b, s, core, noncore, side), (a2, b2, s2, core2, noncore2, side2) in zip(
+            regions, regions[1:]
+        )
+    ]
+
+
 def profile(tri: TriangleCoordinates) -> ComponentProfile:
     """Species counts forced by the crossing counts ``tri``.
 
     ``TriangleCoordinates`` construction already rejects counts whose
     species counts would be negative, so this never fails on an existing
-    instance.  The counts are computed in one pass over the
-    half-differences and the profile is built unchecked, its ``regions``
-    stored with it.
+    instance.  The counts are computed in one pass over the arcs, by
+    comparisons, and the profile is built unchecked, its ``regions`` stored
+    with it.
     """
-    n, alpha, beta = tri.n, tri.alpha, tri.beta
+    n, alpha, beta, c1, c2 = tri.n, tri.alpha, tri.beta, tri.c1, tri.c2
     above, below, loops, sides = [], [], [], []
-    for k in range(n - 1):
-        d = (beta[k] - beta[k + 1]) // 2
-        loops.append(abs(d))
-        above.append(alpha[2 * k] - abs(d))
-        below.append(alpha[2 * k + 1] - abs(d))
-        sides.append(_side(d))
-    bn = (beta[n - 1] - beta[n]) // 2
-    c1p = max(tri.c1, 0)
-    c2p = max(tri.c2, 0)
-    psi = _straight_cores(tri.c1, bn)
+    for hi, lo, up, down in zip(beta, beta[1:], alpha[::2], alpha[1::2]):
+        if hi > lo:
+            d, side = (hi - lo) // 2, "right"
+        elif hi < lo:
+            d, side = (lo - hi) // 2, "left"
+        else:
+            d, side = 0, "none"
+        above.append(up - d)
+        below.append(down - d)
+        loops.append(d)
+        sides.append(side)
+    hi, lo = beta[n - 1], beta[n]
+    if hi > lo:
+        bn, wide, side = (hi - lo) // 2, hi, "right"
+    elif hi < lo:
+        bn, wide, side = (lo - hi) // 2, lo, "left"
+    else:
+        bn, wide, side = 0, hi, "none"
+    # bn is |b_n|: the first crosscap's loops, core loops first
+    c1p = c1 if c1 > 0 else 0
+    core = c1p if c1p < bn else bn
+    c2p = c2 if c2 > 0 else 0
+    psi = _straight_cores(c1, bn)
     half_gamma = tri.gamma // 2
-    prof = _unchecked(
-        ComponentProfile,
-        n=n,
-        beta=beta,
-        s0_loops=beta[0] // 2,
-        above=tuple(above),
-        below=tuple(below),
-        loops=tuple(loops),
-        sides=tuple(sides),
-        cross1_above=half_gamma - psi - abs(bn),
-        cross1_below=max(beta[n - 1], beta[n]) - half_gamma - abs(bn),
-        straight_cores=psi,
-        cross1_core_loops=min(abs(bn), c1p),
-        cross1_noncore_loops=max(abs(bn) - c1p, 0),
-        cross1_side=_side(bn),
-        cross2_core_loops=c2p,
-        cross2_noncore_loops=beta[n] // 2 - c2p,
-        nonprimitive=(
-            _NO_NONPRIMITIVES if tri.c1 >= 0 and tri.c2 >= 0
-            else NonprimitiveCurves.from_c(tri.c1, tri.c2)
+    prof = _unchecked(ComponentProfile, {
+        "n": n,
+        "beta": beta,
+        "s0_loops": beta[0] // 2,
+        "above": tuple(above),
+        "below": tuple(below),
+        "loops": tuple(loops),
+        "sides": tuple(sides),
+        "cross1_above": half_gamma - psi - bn,
+        "cross1_below": wide - half_gamma - bn,
+        "straight_cores": psi,
+        "cross1_core_loops": core,
+        "cross1_noncore_loops": bn - core,
+        "cross1_side": side,
+        "cross2_core_loops": c2p,
+        "cross2_noncore_loops": beta[n] // 2 - c2p,
+        "nonprimitive": (
+            _NO_NONPRIMITIVES if c1 >= 0 and c2 >= 0 else NonprimitiveCurves.from_c(c1, c2)
         ),
-    )
+    })
     vars(prof)["regions"] = prof._regions()
     return prof
 
@@ -288,6 +300,53 @@ class GluingDescription:
         return {}
 
 
+# The ends a region 0..n lays on one of its arcs, top to bottom, as
+# ``(block, end)`` pairs; its blocks, in bundle order, are above, below,
+# straight cores, core loops and loops.  On the arc its loops anchor on:
+# above, the upper arms of loops and core loops, straight cores, the lower
+# arms, below; on its other arc: above, straight cores, below.  An above or
+# below block has end 0 on the region's left arc.  Indexed by whether the
+# loops anchor on the arc, then by whether it is the region's right arc.
+_SLOT_ORDER = (
+    (((0, 0), (2, 1), (1, 0)), ((0, 1), (2, 1), (1, 1))),
+    (
+        ((0, 0), (4, 0), (3, 0), (2, 0), (3, 1), (4, 1), (1, 0)),
+        ((0, 1), (4, 0), (3, 0), (2, 0), (3, 1), (4, 1), (1, 1)),
+    ),
+)
+# the second crosscap region's: non-core loops outside core loops
+_SECOND_CROSSCAP_ORDER = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+def _misfit(arc: int, first: int, top: int) -> EndpointMismatchError:
+    """The error for an arc side whose ends, laid top to bottom, reach slot
+    ``top`` where the next starts at ``first`` (the arc's size at the end)."""
+    return EndpointMismatchError(
+        f"slot {first} on arc {arc + 1} assigned twice"
+        if first < top
+        else f"unfilled slot {top} on arc {arc + 1}"
+    )
+
+
+def _lay(arc: int, size: int, blocks: tuple, ids: list[int], order: tuple) -> tuple:
+    """The ``(first slot, bundle id, end index)`` of the ends of ``blocks``
+    on one side of arc ``arc``, appended in the slot ``order`` and checked,
+    as each is appended, to tile the arc's ``size`` slots."""
+    laid = []
+    top = 0
+    for k, end in order:
+        _, _, width, ends, _ = blocks[k]
+        if width > 0:
+            first = ends[end][1]
+            if first != top:
+                raise _misfit(arc, first, top)
+            laid.append((first, ids[k], end))
+            top += width
+    if top != size:
+        raise _misfit(arc, size, top)
+    return tuple(laid)
+
+
 def reconstruct(prof: ComponentProfile) -> GluingDescription:
     """Glue the profile's components into their minimal position.
 
@@ -300,81 +359,78 @@ def reconstruct(prof: ComponentProfile) -> GluingDescription:
     faces of the antipodal identification.  Each species block of a region
     is one :class:`Bundle`, so the gluing's size does not grow with the
     counts.
+
+    Each side of each arc gets its ends in slot order, region by region,
+    and every end is checked to start where the one above it stops, so
+    the ends tile the arc's slots without a sort.
     """
-    n = prof.n
-    for arc in range(n + 1):
-        left, right = prof.endpoints_on_arc(arc)
-        if left != prof.beta[arc] or right != prof.beta[arc]:
+    n, sizes, regions = prof.n, prof.beta, prof.regions
+    for arc, (left, right) in enumerate(_endpoint_totals(regions)):
+        if left != sizes[arc] or right != sizes[arc]:
             raise EndpointMismatchError(
-                f"arc {arc + 1} has {prof.beta[arc]} slots but {left} endpoints "
+                f"arc {arc + 1} has {sizes[arc]} slots but {left} endpoints "
                 f"from the left and {right} from the right"
             )
 
-    sizes = prof.beta
     bundles: list[Bundle] = []
-    left_ends: list[list[tuple[int, int, int]]] = [[] for _ in sizes]
-    right_ends: list[list[tuple[int, int, int]]] = [[] for _ in sizes]
-
-    def block(region: int, species: str, width: int, ends=(), flip=False):
-        if width > 0:
-            bid = len(bundles)
-            for end, (arc, first) in enumerate(ends):
-                (left_ends if region == arc else right_ends)[arc].append((first, bid, end))
-            bundles.append(_unchecked(
-                Bundle, region=region, species=species, ends=ends, width=width, reversed=flip
-            ))
-
-    block(0, LOOP_LEFT, prof.s0_loops, ((0, 0), (0, prof.s0_loops)), True)
-
-    # Puncture regions and the first crosscap region: puncture regions hold
-    # no cores, so the same layout glues both.
-    for region in range(1, n + 1):
-        above, below, psi, core, noncore, side = prof.regions[region]
+    left_ends: list[tuple] = []
+    right_ends: list[tuple] = []
+    for region in range(n + 2):
         la, ra = region - 1, region
-        block(region, ABOVE, above, ((la, 0), (ra, 0)))
-        block(region, BELOW, below, ((la, sizes[la] - below), (ra, sizes[ra] - below)))
-        loop_arc, other_arc = (ra, la) if side == "left" else (la, ra)
-        inner = above + noncore + core  # first straight-core slot on the loop arc
-        block(region, STRAIGHT_CORE, psi, ((loop_arc, inner), (other_arc, above)), True)
-        block(region, CORE_LOOP, core, ((loop_arc, above + noncore), (loop_arc, inner + psi)))
-        loop = NONCORE_LOOP if region == n else LOOP_LEFT if side == "left" else LOOP_RIGHT
-        block(region, loop, noncore, ((loop_arc, above), (loop_arc, inner + psi + core)), True)
+        if region <= n:
+            # S_0, the puncture regions and the first crosscap region:
+            # puncture regions hold no cores and S_0 only loops, so the same
+            # layout glues all of them
+            above, below, psi, core, noncore, side = regions[region]
+            loop_arc, other_arc = (ra, la) if side == "left" else (la, ra)
+            inner = above + noncore + core  # first straight-core slot on the loop arc
+            loop = NONCORE_LOOP if region == n else LOOP_LEFT if side == "left" else LOOP_RIGHT
+            blocks = (
+                (region, ABOVE, above, ((la, 0), (ra, 0)), False),
+                (region, BELOW, below, ((la, sizes[la] - below), (ra, sizes[ra] - below)), False),
+                (region, STRAIGHT_CORE, psi, ((loop_arc, inner), (other_arc, above)), True),
+                (
+                    region, CORE_LOOP, core,
+                    ((loop_arc, above + noncore), (loop_arc, inner + psi)), False,
+                ),
+                (region, loop, noncore, ((loop_arc, above), (loop_arc, inner + psi + core)), True),
+            )
+            orders = _SLOT_ORDER[side != "left"][0], _SLOT_ORDER[side == "left"][1]
+        else:
+            # the second crosscap region, right of arc n, then the whole
+            # non-primitive curves, which have no ends
+            core2, noncore2 = prof.cross2_core_loops, prof.cross2_noncore_loops
+            whole = prof.nonprimitive
+            blocks = (
+                (region, NONCORE_LOOP, noncore2, ((n, 0), (n, sizes[n] - noncore2)), True),
+                (region, CORE_LOOP, core2, ((n, noncore2), (n, noncore2 + core2)), False),
+                (n, CORE_CURVE, whole.core1, (), False),
+                (n, BOUNDING_CURVE, whole.bounding1, (), False),
+                (region, CORE_CURVE, whole.core2, (), False),
+                (region, BOUNDING_CURVE, whole.bounding2, (), False),
+            )
+            orders = _SECOND_CROSSCAP_ORDER, None
+        ids = []  # the id each block's bundle takes, if it has any width
+        for block_region, species, width, ends, flip in blocks:
+            ids.append(len(bundles))
+            if width > 0:
+                bundles.append(_unchecked(Bundle, {
+                    "region": block_region,
+                    "species": species,
+                    "ends": ends,
+                    "width": width,
+                    "reversed": flip,
+                }))
+        if region:
+            right_ends.append(_lay(la, sizes[la], blocks, ids, orders[0]))
+        if region <= n:
+            left_ends.append(_lay(ra, sizes[ra], blocks, ids, orders[1]))
 
-    # Second crosscap region (index n+1, right of arc n).
-    core2, noncore2 = prof.cross2_core_loops, prof.cross2_noncore_loops
-    block(n + 1, NONCORE_LOOP, noncore2, ((n, 0), (n, sizes[n] - noncore2)), True)
-    block(n + 1, CORE_LOOP, core2, ((n, noncore2), (n, noncore2 + core2)))
-
-    whole = prof.nonprimitive
-    block(n, CORE_CURVE, whole.core1)
-    block(n, BOUNDING_CURVE, whole.bounding1)
-    block(n + 1, CORE_CURVE, whole.core2)
-    block(n + 1, BOUNDING_CURVE, whole.bounding2)
-
-    # The ends on each side of each arc must tile its slots exactly.
-    for arc, size in enumerate(sizes):
-        for ends in (left_ends[arc], right_ends[arc]):
-            ends.sort()
-            top = 0
-            for first, bid, _ in ends:
-                if first != top:
-                    break
-                top += bundles[bid].width
-            else:
-                first = size
-            if first != top:
-                raise EndpointMismatchError(
-                    f"slot {first} on arc {arc + 1} assigned twice"
-                    if first < top
-                    else f"unfilled slot {top} on arc {arc + 1}"
-                )
-
-    return _unchecked(
-        GluingDescription,
-        n=n,
-        arc_sizes=sizes,
-        bundles=tuple(bundles),
-        left_ends=tuple(map(tuple, left_ends)),
-        right_ends=tuple(map(tuple, right_ends)),
-        _rows={},
-    )
+    return _unchecked(GluingDescription, {
+        "n": n,
+        "arc_sizes": sizes,
+        "bundles": tuple(bundles),
+        "left_ends": tuple(left_ends),
+        "right_ends": tuple(right_ends),
+        "_rows": {},
+    })

@@ -80,15 +80,20 @@ def _ints(values, names, error: type = DimensionMismatchError) -> tuple[int, ...
     raise error(f"{name} must be an integer, got {x!r}")
 
 
-def _unchecked(cls, **fields):
-    """A ``cls`` instance holding ``fields``, built without running
-    ``__init__``: no validation, no conversion.  Only for values the
-    library computed itself from checked ints, never for user input; the
-    result is indistinguishable from a validated instance under ``==``,
-    ``hash``, ``repr``, pickling and ``cached_property``.  ``fields`` may
-    also hold a ``cached_property``'s value, which is then never computed."""
-    obj = object.__new__(cls)
-    object.__setattr__(obj, "__dict__", fields)  # a frozen dataclass refuses plain assignment
+# looked up once: a gluing builds a dozen values through _unchecked
+_new, _set = object.__new__, object.__setattr__
+
+
+def _unchecked(cls, fields: dict):
+    """A ``cls`` instance holding ``fields`` (a fresh dict of its field
+    values, by name), built without running ``__init__``: no validation, no
+    conversion.  Only for values the library computed itself from checked
+    ints, never for user input; the result is indistinguishable from a
+    validated instance under ``==``, ``hash``, ``repr``, pickling and
+    ``cached_property``.  ``fields`` may also hold a ``cached_property``'s
+    value, which is then never computed."""
+    obj = _new(cls)
+    _set(obj, "__dict__", fields)  # a frozen dataclass refuses plain assignment
     return obj
 
 
@@ -350,9 +355,12 @@ def _scan_blocks(text: str) -> list[list[int]]:
     return blocks
 
 
+# An integer as the library reads it from text (coordinates, curve indices,
+# CLI flags): ASCII digits only, where int() would also take "٣" and "1_0".
+_ASCII_INT = re.compile(r"[+-]?[0-9]+")
 # The whole grammar :class:`_Scanner` reads, with four blocks.  ``\s`` is
-# str.isspace(), and the digits are ASCII: int() would also take "٣" and "1_0".
-_INT = r"\s*[+-]?[0-9]+"
+# str.isspace().
+_INT = rf"\s*{_ASCII_INT.pattern}"
 _BLOCK = rf"{_INT}(?:\s*,{_INT})*"
 _GRAMMAR = re.compile(rf"\s*\({_BLOCK}(?:\s*;{_BLOCK}){{3}}\s*\)\s*")
 

@@ -22,13 +22,12 @@ core crossing numbers.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .components import ComponentProfile, profile
-from .coords import DynnikovCoordinates, TriangleCoordinates, _ints, _too_long
+from .coords import _ASCII_INT, DynnikovCoordinates, TriangleCoordinates, _ints, _too_long
 from .errors import (
     DimensionMismatchError,
     InvalidParameterError,
@@ -48,8 +47,6 @@ __all__ = [
 ]
 
 _KINDS = ("Cij", "Cprime1", "Cprime2", "C", "D", "core", "bounding")
-# ASCII digits only: int() also takes "٢" and "0_2"
-_INDEX = re.compile(r"[+-]?[0-9]+")
 # distinct catalogs kept: a process rarely uses more than a few puncture counts
 _CATALOGS_KEPT = 16
 
@@ -147,7 +144,7 @@ def parse_curve(text: str) -> ElementaryCurve:
 
     def indices(count: int, what: str) -> list[int]:
         parts = [part.strip() for part in tail.split(",")]
-        if len(parts) != count or not all(_INDEX.fullmatch(part) for part in parts):
+        if len(parts) != count or not all(_ASCII_INT.fullmatch(part) for part in parts):
             raise InvalidParameterError(f"{head} needs {what}, got {text!r}")
         try:
             return [int(part) for part in parts]

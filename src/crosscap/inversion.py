@@ -50,34 +50,56 @@ class InversionIntermediates:
 
 def intermediates(coords: DynnikovCoordinates) -> InversionIntermediates:
     """Compute ``x``, ``y``, ``beta_star`` and ``r`` for ``coords``."""
-    x, y, beta_star, r = _intermediates(coords)
-    return InversionIntermediates(x=x, y=y, beta_star=tuple(beta_star), r=r)
+    _, x, y, r, beta, _ = _solve(coords)
+    return InversionIntermediates(x=x, y=y, beta_star=tuple(bk - r for bk in beta), r=r)
 
 
-def _intermediates(coords: DynnikovCoordinates) -> tuple[int, int, list[int], int]:
+def _solve(coords: DynnikovCoordinates) -> tuple[int, int, int, int, list[int], list[int]]:
+    """``(psi, x, y, r, beta, alpha)`` for ``coords``: the straight-core
+    count, the two candidates for ``beta*_1``, the second-crosscap shift and
+    the crossing counts ``beta = beta_star + r`` and ``alpha``.
+
+    One pass over the punctures finds ``x``; a second lays out ``beta``
+    from ``beta_1`` down, ``beta_{i+1} = beta_i - 2 b_i``, and each
+    puncture's ``alpha`` pair beside it.
+    """
     a, b, t = coords.a, coords.b, coords.t
-    n = coords.n
     bn = b[-1]
     psi = _straight_cores(coords.c1, bn)
 
-    prefix = 0
-    x = None
-    for r_idx in range(n - 1):
-        cand = abs(a[r_idx]) + max(b[r_idx], 0) + prefix
-        if x is None or cand > x:
+    x = prefix = 0
+    for ak, bk in zip(a, b):
+        cand = prefix + ak if ak > 0 else prefix - ak
+        if bk > 0:
+            cand += bk
+        if cand > x:
             x = cand
-        prefix += b[r_idx]
-    x = 2 * x  # type: ignore[operator]
-    y = abs(t) + 2 * max(bn, 0) + psi + 2 * prefix
+        prefix += bk
+    x *= 2
+    y = (t if t > 0 else -t) + psi + 2 * prefix
+    if bn > 0:
+        y += 2 * bn
 
-    m = max(x, y)
-    beta_star = [m]
-    acc = 0
-    for bi in b:
-        acc += 2 * bi
-        beta_star.append(m - acc)
-    r = max(0, 2 * coords.c2 - beta_star[-1])
-    return x, y, beta_star, r
+    top = x if x > y else y
+    # The shift is added once: it raises beta_{n+1} to exactly 2*c2, the
+    # least value hosting c2 core crossings. Adding it twice would pad the
+    # curve with boundary-parallel junk.
+    r = 2 * (coords.c2 + prefix + bn) - top  # 2*c2 - beta*_{n+1}
+    if r > 0:
+        top += r
+    else:
+        r = 0
+
+    beta = [top]
+    alpha = []
+    for ak, bk in zip(a, b):
+        half = top // 2 if bk >= 0 else top // 2 - bk  # the larger of beta_i, beta_{i+1}, halved
+        alpha.append(half - ak)
+        alpha.append(half + ak)
+        top -= 2 * bk
+        beta.append(top)
+    beta.append(top - 2 * bn)
+    return psi, x, y, r, beta, alpha
 
 
 def invert(coords: DynnikovCoordinates) -> TriangleCoordinates:
@@ -89,35 +111,24 @@ def invert(coords: DynnikovCoordinates) -> TriangleCoordinates:
     :class:`TriangleCoordinates` invariants, so the result is built
     unchecked (the tests construct it through the checks).
     """
-    a, b, t = coords.a, coords.b, coords.t
-    n = coords.n
-    bn = b[-1]
-    psi = _straight_cores(coords.c1, bn)
+    psi, _, _, _, beta, alpha = _solve(coords)
+    t = coords.t
     if (t + psi) % 2:
         raise UnrealizableCoordinatesError(
             f"t={t} and the straight-core count {psi} differ in parity; "
             "no multicurve has these coordinates"
         )
-
-    _, _, beta_star, r = _intermediates(coords)
-    # The shift is added once: it raises beta_{n+1} to exactly 2*c2, the
-    # least value hosting c2 core crossings. Adding it twice would pad the
-    # curve with boundary-parallel junk.
-    beta = tuple(bs + r for bs in beta_star)
-
-    alpha = []
-    for k in range(n - 1):
-        half = beta[k] // 2 if b[k] >= 0 else beta[k + 1] // 2
-        alpha.append(-a[k] + half)
-        alpha.append(a[k] + half)
-
-    above = (t - psi + max(beta[n - 1], beta[n]) - 2 * abs(bn)) // 2
-    gamma = 2 * (above + abs(bn) + psi)
-
-    return _unchecked(
-        TriangleCoordinates,
-        n=n, alpha=tuple(alpha), beta=beta, gamma=gamma, c1=coords.c1, c2=coords.c2,
-    )
+    # gamma = 2 * (above + |b_n| + psi) with (t - psi + wide) / 2 - |b_n|
+    # components above the first crosscap: the closed form coordinatize inverts
+    wide = beta[-2] if beta[-2] > beta[-1] else beta[-1]
+    return _unchecked(TriangleCoordinates, {
+        "n": coords.n,
+        "alpha": tuple(alpha),
+        "beta": tuple(beta),
+        "gamma": t + psi + wide,
+        "c1": coords.c1,
+        "c2": coords.c2,
+    })
 
 
 def coordinatize(tri: TriangleCoordinates) -> DynnikovCoordinates:
@@ -141,7 +152,9 @@ def coordinatize(tri: TriangleCoordinates) -> DynnikovCoordinates:
     t = tri.gamma - psi - max(tri.beta[-2], tri.beta[-1])
     if not (any(a) or any(b) or t or tri.c1 or tri.c2):
         raise ZeroVectorError("the zero vector encodes no multicurve")
-    coords = _unchecked(DynnikovCoordinates, n=n, a=a, b=b, t=t, c1=tri.c1, c2=tri.c2)
+    coords = _unchecked(
+        DynnikovCoordinates, {"n": n, "a": a, "b": b, "t": t, "c1": tri.c1, "c2": tri.c2}
+    )
     if invert(coords) != tri:
         raise InconsistentTriangleError(
             "no multicurve has these crossing counts: "

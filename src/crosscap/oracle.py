@@ -154,24 +154,26 @@ def _row(gl: GluingDescription, arc: int, rightward: bool) -> list[list[int]]:
 def _band_counts(gl: GluingDescription, first: int, last: int) -> tuple:
     """``(over, under, right, left, crossings)`` of the band
     ``first..last``: over, under and right loops from the rightward row of
-    its left arc, left loops from the leftward row of its right arc (none
-    without the arc), traced into the diagram's ``_rows`` on first use.
-    Every chain has both ends on the arcs, and each one that does not clear
-    the band crosses the curve twice.
+    its left arc (none left of ``S_0``), left loops from the leftward row of
+    its right arc (none right of the second crosscap), each traced into the
+    diagram's ``_rows`` on first use.  Every chain has both ends on the
+    arcs, and each one that does not clear the band crosses the curve twice.
     """
-    rows = gl._rows
+    rows, sizes = gl._rows, gl.arc_sizes
     over = under = right = left = ends = 0
-    for arc, rightward in ((first - 1, True), (last, False)):
-        if 0 <= arc <= gl.n:
-            ends += gl.arc_sizes[arc]
-            row = rows.get((arc, rightward))
-            if row is None:
-                row = rows[arc, rightward] = _row(gl, arc, rightward)
-            entry = row[last - first]
-            if rightward:
-                over, under, right = entry
-            else:
-                left = entry[2]
+    if first:
+        arc = first - 1
+        row = rows.get((arc, True))
+        if row is None:
+            row = rows[arc, True] = _row(gl, arc, True)
+        over, under, right = row[last - first]
+        ends = sizes[arc]
+    if last <= gl.n:
+        row = rows.get((last, False))
+        if row is None:
+            row = rows[last, False] = _row(gl, last, False)
+        left = row[last - first][2]
+        ends += sizes[last]
     return over, under, right, left, ends - 2 * (over + under + right + left)
 
 
@@ -200,9 +202,13 @@ def _traced_values(gl: GluingDescription, bands: tuple, d_at: tuple[int, ...]) -
 
 def count_crossings(gl: GluingDescription, curve: ElementaryCurve) -> int:
     """Crossings of the diagram's multicurve with one elementary curve,
-    counted by walking strands.  Matches
-    :func:`crosscap.intersect.intersect_elementary` on every realizable
-    input -- by construction of neither: the two share no formulas.
+    counted by walking strands.  Where ``c1, c2 >= 0`` it agrees with
+    :func:`crosscap.intersect.intersect_elementary` -- by construction of
+    neither: the two share no formulas.  A diagram with whole non-primitive
+    components, whose vector the formulas reject, still gets a count for
+    every disk-bounding curve but ``D``, which raises
+    :class:`NonprimitiveContentError`; ``core`` and ``bounding`` curves
+    raise :class:`UnsupportedCurveError` on every diagram.
     """
     if curve.nonprimitive:
         raise UnsupportedCurveError(
@@ -312,7 +318,9 @@ def _points(n: int, bound: int, cmax: int, indices: range) -> Iterator[DynnikovC
         a, b, t, c1, c2 = _decode(n, bound, cmax, idx)
         if not (any(a) or any(b) or t or c1 or c2):
             continue
-        coords = _unchecked(DynnikovCoordinates, n=n, a=a, b=b, t=t, c1=c1, c2=c2)
+        coords = _unchecked(
+            DynnikovCoordinates, {"n": n, "a": a, "b": b, "t": t, "c1": c1, "c2": c2}
+        )
         if realizable(coords):
             yield coords
 

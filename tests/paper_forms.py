@@ -1,7 +1,7 @@
 """Forms the library deliberately does not use, kept as references for tests."""
 
 from crosscap.components import ComponentProfile
-from crosscap.coords import TriangleCoordinates
+from crosscap.coords import DynnikovCoordinates, TriangleCoordinates
 from crosscap.intersect import _band
 from crosscap.large import RegionRange, counts_for_range
 
@@ -21,6 +21,22 @@ def _paper_literal_crosscap_above_below(tri: TriangleCoordinates) -> tuple[int, 
         t - psi + mx - 2 * abs(bn),
         -t - psi + mx - 2 * abs(bn),
     )
+
+
+def max_plus_intermediates(coords: DynnikovCoordinates) -> tuple[int, int, tuple[int, ...], int]:
+    """``(x, y, beta_star, r)`` by the max-plus forms, term by term, as the
+    library computed them before :func:`crosscap.inversion.invert` laid
+    ``beta`` out in one pass: ``x`` twice the widest point over a puncture,
+    ``y`` the widest point at the first crosscap, ``beta*`` falling from
+    ``max(x, y)`` by ``2 b_i`` per arc, and ``r`` the least shift that lets
+    ``beta_{n+1}`` host ``c2`` core crossings.
+    """
+    a, b, t, n = coords.a, coords.b, coords.t, coords.n
+    psi = max(max(coords.c1, 0) - abs(b[-1]), 0)
+    x = 2 * max(abs(a[k]) + max(b[k], 0) + sum(b[:k]) for k in range(n - 1))
+    y = abs(t) + 2 * max(b[-1], 0) + psi + 2 * sum(b[:-1])
+    beta_star = tuple(max(x, y) - 2 * sum(b[:k]) for k in range(n + 1))
+    return x, y, beta_star, max(0, 2 * coords.c2 - beta_star[-1])
 
 
 def per_curve_values(tri: TriangleCoordinates, prof: ComponentProfile, curves) -> list[int]:

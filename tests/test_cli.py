@@ -249,6 +249,57 @@ class TestDigitLimit:
         assert err.startswith("crosscap: error: an output integer has more than")
 
 
+EXAMPLE = "(2; 1,0; -2; 2,0)"
+
+# every integer flag: the arguments before it, and the flag; the selftest
+# box is kept tiny, so a value wrongly read as 2 still runs in moments
+SMALL_SWEEP = ("selftest", "--bound", "0", "--cmax", "0", "--jobs", "1")
+INTEGER_FLAGS = [
+    ("invert", EXAMPLE, "--n"),
+    ("profile", EXAMPLE, "--large"),
+    ("render", EXAMPLE, "--width"),
+    ("render", EXAMPLE, "--height"),
+    ("render", EXAMPLE, "--spacing"),
+    (*SMALL_SWEEP, "--n"),
+    (*SMALL_SWEEP, "--bound"),
+    (*SMALL_SWEEP, "--cmax"),
+    (*SMALL_SWEEP, "--jobs"),
+]
+
+
+class TestIntegerFlags:
+    """Integer flags take ASCII digits only, as coordinates and curve
+    indices do: argparse's ``type=int`` would also read other Unicode
+    digits and underscores."""
+
+    @pytest.mark.parametrize("argv", INTEGER_FLAGS, ids=lambda argv: f"{argv[0]} {argv[-1]}")
+    @pytest.mark.parametrize("value", ["\u0662", "0_2"], ids=["arabic-indic", "underscore"])
+    def test_other_digits_exit_one(self, capsys, argv, value):
+        *head, flag = argv
+        rest = ("1",) if flag == "--large" else ()  # --large takes two
+        code, out, err = run(capsys, *head, flag, value, *rest)
+        assert code == 1 and out == ""
+        assert err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+    def test_second_large_bound_is_checked_too(self, capsys):
+        code, out, err = run(capsys, "profile", EXAMPLE, "--large", "1", "1_0")
+        assert code == 1 and out == ""
+        assert err.endswith("error: argument --large: invalid int value: '1_0'\n")
+
+    def test_signed_and_padded_ascii_still_read(self, capsys):
+        assert run(capsys, "render", EXAMPLE, "--spacing", " +90 ") == run(
+            capsys, "render", EXAMPLE, "--spacing", "90"
+        )
+        code, out, _ = run(capsys, "invert", EXAMPLE, "--n", "+2", "--json")
+        assert code == 0 and json.loads(out)["n"] == 2
+
+    @pytest.mark.skipif(not DIGIT_LIMIT, reason="no digit limit in this interpreter")
+    def test_value_past_the_digit_limit_exits_one(self, capsys):
+        code, out, err = run(capsys, "render", EXAMPLE, "--width", TOO_LONG)
+        assert code == 1 and out == ""
+        assert "error: argument --width: invalid int value:" in err
+
+
 class TestProfileAndRender:
     def test_profile_json_with_large(self, capsys):
         code, out, _ = run(

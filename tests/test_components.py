@@ -211,6 +211,38 @@ class TestReconstruct:
         with pytest.raises(EndpointMismatchError, match="slot -1 on arc \\d assigned twice"):
             reconstruct(p)
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"above": (-1,), "below": (5,)}, "slot -1 on arc 1 assigned twice"),
+            ({"cross1_above": -1, "cross1_below": 3}, "slot -1 on arc 2 assigned twice"),
+            (
+                {"cross2_core_loops": -1, "cross2_noncore_loops": 3},
+                "slot 1 on arc 3 assigned twice",
+            ),
+        ],
+        ids=["puncture", "first-crosscap", "second-crosscap"],
+    )
+    def test_blocks_that_do_not_tile(self, change, message):
+        # the endpoint totals match on every arc: only the tiling check sees these
+        p = dataclasses.replace(profile(invert(parse_coords(GOLDEN_VECTORS["ex1"]))), **change)
+        assert all(p.endpoints_on_arc(arc) == (b, b) for arc, b in enumerate(p.beta))
+        with pytest.raises(EndpointMismatchError) as err:
+            reconstruct(p)
+        assert str(err.value) == message
+
+    def test_ends_in_strictly_increasing_slot_order(self):
+        # oracle._row bisects each arc side's ends by first slot;
+        # sample_vectors() ends with the negative-c vectors
+        checked = 0
+        for v in sample_vectors():
+            gl = reconstruct(profile(invert(v)))
+            for ends in (*gl.left_ends, *gl.right_ends):
+                firsts = [first for first, _, _ in ends]
+                assert all(a < b for a, b in zip(firsts, firsts[1:])), v
+            checked += 1
+        assert checked > 5000
+
     @pytest.mark.parametrize("name", sorted(GOLDEN_VECTORS))
     def test_golden_gluing_and_render(self, name, capsys):
         text = GOLDEN_VECTORS[name]

@@ -26,7 +26,13 @@ from crosscap.errors import (
     UnsupportedCurveError,
 )
 from crosscap import oracle
-from crosscap.intersect import ElementaryCurve, _catalog_layout, catalog, elementary_coords
+from crosscap.intersect import (
+    ElementaryCurve,
+    _catalog_layout,
+    catalog,
+    elementary_coords,
+    intersect_elementary,
+)
 from crosscap.inversion import invert, realizable
 from crosscap.large import _span
 from crosscap.oracle import (
@@ -152,6 +158,21 @@ class TestCountCrossings:
         dg_np = build_diagram(profile(tri))
         with pytest.raises(NonprimitiveContentError):
             count_crossings(dg_np, ElementaryCurve.D())
+
+    def test_whole_nonprimitive_components(self):
+        # the formulas reject this vector outright; the tracer still counts
+        # the disk-bounding curves, but neither D nor a non-primitive curve
+        v = parse_coords("(1; 1,0; 0; -2,1)")
+        with pytest.raises(NonprimitiveContentError):
+            intersect_elementary(v, ElementaryCurve.C())
+        dg = build_diagram(profile(invert(v)))
+        for curve in (ElementaryCurve.Cij(1, 2), ElementaryCurve.Cprime1(1), ElementaryCurve.C()):
+            assert count_crossings(dg, curve) == 2, curve
+        with pytest.raises(NonprimitiveContentError):
+            count_crossings(dg, ElementaryCurve.D())
+        for curve in (ElementaryCurve.core(1), ElementaryCurve.bounding(1)):
+            with pytest.raises(UnsupportedCurveError):
+                count_crossings(dg, curve)
 
     def test_nested_curve_families_cross_as_expected(self):
         # two nested puncture disks: inner C_{1,2} inside outer C_{1,3}

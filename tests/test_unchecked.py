@@ -16,11 +16,12 @@ import pytest
 
 from crosscap.components import Bundle, ComponentProfile, GluingDescription, profile, reconstruct
 from crosscap.coords import DynnikovCoordinates, TriangleCoordinates, parse_coords
-from crosscap.errors import ParityViolationError, ZeroVectorError
+from crosscap.errors import ParityViolationError, UnrealizableCoordinatesError, ZeroVectorError
 from crosscap.intersect import catalog
-from crosscap.inversion import coordinatize, invert, realizable
+from crosscap.inversion import InversionIntermediates, coordinatize, intermediates, invert, realizable
 from crosscap.large import RegionRange
 from crosscap.oracle import count_crossings, grid_points, large_census
+from paper_forms import max_plus_intermediates
 
 BOUND = 3
 CMAX = 3
@@ -76,8 +77,9 @@ def check_all(v: DynnikovCoordinates):
     assert all(b.width > 0 and len(b.ends) in (0, 2) for b in gl.bundles), v
 
 
-def box(n, step=1):
-    """Every ``step``-th realizable vector of the acceptance box."""
+def box(n, step=1, wanted=True):
+    """Every ``step``-th realizable vector of the acceptance box (with
+    ``wanted=False``, every unrealizable one)."""
     points = itertools.product(*([range(-BOUND, BOUND + 1)] * (2 * n) + [range(CMAX + 1)] * 2))
     for point in itertools.islice(points, 0, None, step):
         if not any(point):
@@ -90,7 +92,7 @@ def box(n, step=1):
             c1=point[2 * n],
             c2=point[2 * n + 1],
         )
-        if realizable(v):
+        if realizable(v) == wanted:
             yield v
 
 
@@ -152,6 +154,46 @@ class TestAgainstPublicConstructors:
                 check_triangle(v)
                 checked += 1
         assert checked == 881998  # criterion 3's round-tripped count
+
+
+class TestInvertAgainstIntermediates:
+    """``invert`` and ``intermediates`` share one pass; both are held to the
+    max-plus forms computed term by term (``paper_forms``)."""
+
+    @staticmethod
+    def check(v):
+        inter = intermediates(v)
+        assert inter == InversionIntermediates(*max_plus_intermediates(v)), v
+        tri = invert(v)
+        assert tri.beta == tuple(b + inter.r for b in inter.beta_star), v
+        assert TriangleCoordinates(**vars(tri)) == tri, v
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [lambda: box(2), lambda: box(3, step=199), lambda: seeded_vectors(400)],
+        ids=["n2-box", "n3-stride", "seeded"],
+    )
+    def test_beta_is_beta_star_plus_r(self, vectors):
+        checked = 0
+        for v in vectors():
+            self.check(v)
+            checked += 1
+        assert checked >= 400
+
+    @pytest.mark.parametrize("n, step", [(2, 1), (3, 199)])
+    def test_unrealizable_box_vectors_keep_their_message(self, n, step):
+        checked = 0
+        for v in box(n, step, wanted=False):
+            psi = max(v.c1 - abs(v.b[-1]), 0)
+            message = (
+                f"t={v.t} and the straight-core count {psi} differ in parity; "
+                "no multicurve has these coordinates"
+            )
+            with pytest.raises(UnrealizableCoordinatesError) as err:
+                invert(v)
+            assert str(err.value) == message
+            checked += 1
+        assert checked > 1000
 
 
 class TestIndistinguishable:
