@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coords import TriangleCoordinates, _straight_cores, _unchecked
+from .coords import TriangleCoordinates, _species, _unchecked
 from .errors import EndpointMismatchError
 
 __all__ = [
@@ -200,60 +200,37 @@ def _endpoint_totals(regions: tuple) -> list[tuple[int, int]]:
 def profile(tri: TriangleCoordinates) -> ComponentProfile:
     """Species counts forced by the crossing counts ``tri``.
 
-    ``TriangleCoordinates`` construction already rejects counts whose
-    species counts would be negative, so this never fails on an existing
-    instance.  The counts are computed in one pass over the arcs, by
-    comparisons, and the profile is built unchecked, its ``regions`` stored
-    with it.
+    ``regions`` is the species table :class:`TriangleCoordinates`
+    construction already checked to hold no negative count, so this never
+    fails on an existing instance; the named fields are read off that
+    table, and the profile is built unchecked, its ``regions`` stored with
+    it.
     """
-    n, alpha, beta, c1, c2 = tri.n, tri.alpha, tri.beta, tri.c1, tri.c2
-    above, below, loops, sides = [], [], [], []
-    for hi, lo, up, down in zip(beta, beta[1:], alpha[::2], alpha[1::2]):
-        if hi > lo:
-            d, side = (hi - lo) // 2, "right"
-        elif hi < lo:
-            d, side = (lo - hi) // 2, "left"
-        else:
-            d, side = 0, "none"
-        above.append(up - d)
-        below.append(down - d)
-        loops.append(d)
-        sides.append(side)
-    hi, lo = beta[n - 1], beta[n]
-    if hi > lo:
-        bn, wide, side = (hi - lo) // 2, hi, "right"
-    elif hi < lo:
-        bn, wide, side = (lo - hi) // 2, lo, "left"
-    else:
-        bn, wide, side = 0, hi, "none"
-    # bn is |b_n|: the first crosscap's loops, core loops first
-    c1p = c1 if c1 > 0 else 0
-    core = c1p if c1p < bn else bn
-    c2p = c2 if c2 > 0 else 0
-    psi = _straight_cores(c1, bn)
-    half_gamma = tri.gamma // 2
-    prof = _unchecked(ComponentProfile, {
+    n, c1, c2 = tri.n, tri.c1, tri.c2
+    regions = _species(n, tri.alpha, tri.beta, tri.gamma, c1, c2)
+    above, below, _, _, loops, sides = zip(*regions[1:n])
+    cross1_above, cross1_below, psi, core, noncore, side = regions[n]
+    return _unchecked(ComponentProfile, {
         "n": n,
-        "beta": beta,
-        "s0_loops": beta[0] // 2,
-        "above": tuple(above),
-        "below": tuple(below),
-        "loops": tuple(loops),
-        "sides": tuple(sides),
-        "cross1_above": half_gamma - psi - bn,
-        "cross1_below": wide - half_gamma - bn,
+        "beta": tri.beta,
+        "s0_loops": regions[0][4],
+        "above": above,
+        "below": below,
+        "loops": loops,
+        "sides": sides,
+        "cross1_above": cross1_above,
+        "cross1_below": cross1_below,
         "straight_cores": psi,
         "cross1_core_loops": core,
-        "cross1_noncore_loops": bn - core,
+        "cross1_noncore_loops": noncore,
         "cross1_side": side,
-        "cross2_core_loops": c2p,
-        "cross2_noncore_loops": beta[n] // 2 - c2p,
+        "cross2_core_loops": regions[n + 1][3],
+        "cross2_noncore_loops": regions[n + 1][4],
         "nonprimitive": (
             _NO_NONPRIMITIVES if c1 >= 0 and c2 >= 0 else NonprimitiveCurves.from_c(c1, c2)
         ),
+        "regions": regions,
     })
-    vars(prof)["regions"] = prof._regions()
-    return prof
 
 
 @dataclass(frozen=True)
@@ -318,20 +295,13 @@ _SLOT_ORDER = (
 _SECOND_CROSSCAP_ORDER = ((0, 0), (1, 0), (1, 1), (0, 1))
 
 
-def _misfit(arc: int, first: int, top: int) -> EndpointMismatchError:
-    """The error for an arc side whose ends, laid top to bottom, reach slot
-    ``top`` where the next starts at ``first`` (the arc's size at the end)."""
-    return EndpointMismatchError(
-        f"slot {first} on arc {arc + 1} assigned twice"
-        if first < top
-        else f"unfilled slot {top} on arc {arc + 1}"
-    )
-
-
 def _lay(arc: int, size: int, blocks: tuple, ids: list[int], order: tuple) -> tuple:
     """The ``(first slot, bundle id, end index)`` of the ends of ``blocks``
     on one side of arc ``arc``, appended in the slot ``order`` and checked,
     as each is appended, to tile the arc's ``size`` slots."""
+    # An end starts at the sum of the widths laid before it on this side
+    # and top sums only the positive ones, so first <= top and, at the end,
+    # size <= top: a misfit is always a slot taken twice.
     laid = []
     top = 0
     for k, end in order:
@@ -339,11 +309,11 @@ def _lay(arc: int, size: int, blocks: tuple, ids: list[int], order: tuple) -> tu
         if width > 0:
             first = ends[end][1]
             if first != top:
-                raise _misfit(arc, first, top)
+                raise EndpointMismatchError(f"slot {first} on arc {arc + 1} assigned twice")
             laid.append((first, ids[k], end))
             top += width
     if top != size:
-        raise _misfit(arc, size, top)
+        raise EndpointMismatchError(f"slot {size} on arc {arc + 1} assigned twice")
     return tuple(laid)
 
 

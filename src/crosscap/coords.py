@@ -102,6 +102,40 @@ def _straight_cores(c1: int, bn: int) -> int:
     return max(max(c1, 0) - abs(bn), 0)
 
 
+def _species(n: int, alpha: tuple, beta: tuple, gamma: int, c1: int, c2: int) -> tuple:
+    """The species table of the crossing counts: ``(above, below, straight
+    cores, core loops, non-core loops, side)`` of each region ``0..n+1``
+    (see :attr:`crosscap.components.ComponentProfile.regions`), in one pass
+    over the arcs, by comparisons.  Counts that pass the sign and parity
+    checks may still give negative entries; :class:`TriangleCoordinates`
+    rejects those, so :func:`crosscap.components.profile` never sees one."""
+    rows = [(0, 0, 0, 0, beta[0] // 2, "left")]
+    for hi, lo, up, down in zip(beta, beta[1:], alpha[::2], alpha[1::2]):
+        if hi > lo:
+            d, side = (hi - lo) // 2, "right"
+        elif hi < lo:
+            d, side = (lo - hi) // 2, "left"
+        else:
+            d, side = 0, "none"
+        rows.append((up - d, down - d, 0, 0, d, side))
+    hi, lo = beta[n - 1], beta[n]
+    if hi > lo:
+        bn, wide, side = (hi - lo) // 2, hi, "right"
+    elif hi < lo:
+        bn, wide, side = (lo - hi) // 2, lo, "left"
+    else:
+        bn, wide, side = 0, hi, "none"
+    # bn is |b_n|: the first crosscap's loops, core loops first
+    c1p = c1 if c1 > 0 else 0
+    core = c1p if c1p < bn else bn
+    psi = c1p - core
+    c2p = c2 if c2 > 0 else 0
+    half_gamma = gamma // 2
+    rows.append((half_gamma - psi - bn, wide - half_gamma - bn, psi, core, bn - core, side))
+    rows.append((0, 0, 0, c2p, beta[n] // 2 - c2p, "right"))
+    return tuple(rows)
+
+
 def _too_long(what: str) -> str:
     """The message for ``what``, an integer past the interpreter's digit
     limit on ``int()`` of text and ``str()`` of an integer."""
@@ -190,9 +224,11 @@ class TriangleCoordinates:
     * ``alpha`` (length 2n-2), ``beta`` (length n+1) and ``gamma`` are
       nonnegative, every ``beta_i`` and ``gamma`` are even, and the two
       ``alpha`` entries of each puncture agree mod 2 (strands pair up);
-    * the per-region component counts derived from them are nonnegative:
-      above/below counts at each puncture and at the first crosscap, and
-      the non-core loop count at the second crosscap.
+    * the per-region component counts derived from them (the species
+      table that :func:`crosscap.components.profile` stores) are
+      nonnegative: above/below counts at each puncture and at the first
+      crosscap, and the non-core loop count at the second crosscap, checked
+      in that order.
 
     ``c1``/``c2`` may be negative with the same non-primitive meaning as in
     :class:`DynnikovCoordinates`.
@@ -237,24 +273,13 @@ class TriangleCoordinates:
                     f"alpha_{2 * k + 1}={self.alpha[2 * k]} and "
                     f"alpha_{2 * k + 2}={self.alpha[2 * k + 1]} differ in parity"
                 )
-        # Derived component counts must be realizable.
-        b = self.half_differences()
-        for k in range(n - 1):
-            if self.alpha[2 * k] - abs(b[k]) < 0:
-                raise InconsistentTriangleError(
-                    f"negative above count at puncture {k + 2}"
-                )
-            if self.alpha[2 * k + 1] - abs(b[k]) < 0:
-                raise InconsistentTriangleError(
-                    f"negative below count at puncture {k + 2}"
-                )
-        bn = b[-1]
-        psi = _straight_cores(self.c1, bn)
-        if self.gamma // 2 - psi - abs(bn) < 0:
-            raise InconsistentTriangleError("negative above count at first crosscap")
-        if max(self.beta[-2], self.beta[-1]) - self.gamma // 2 - abs(bn) < 0:
-            raise InconsistentTriangleError("negative below count at first crosscap")
-        if self.beta[-1] // 2 - max(self.c2, 0) < 0:
+        table = _species(n, self.alpha, self.beta, self.gamma, self.c1, self.c2)
+        for k, (above, below, _, _, _, _) in enumerate(table[1 : n + 1], 2):
+            if above < 0 or below < 0:
+                place = f"puncture {k}" if k <= n else "first crosscap"
+                side = "above" if above < 0 else "below"
+                raise InconsistentTriangleError(f"negative {side} count at {place}")
+        if table[n + 1][4] < 0:
             raise InconsistentTriangleError(
                 "second crosscap cannot host that many core crossings: "
                 f"beta_{n + 1}={self.beta[-1]} < 2*c2"

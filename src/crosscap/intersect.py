@@ -132,15 +132,12 @@ class ElementaryCurve:
 
     def check(self, n: int):
         """Validate the parameters against the puncture count."""
-        if self.kind == "Cij" and self.j > n:
-            raise InvalidParameterError(f"C_(i,j) needs j <= {n}, got j={self.j}")
-        if self.kind in ("Cprime1", "Cprime2") and self.i > n:
-            raise InvalidParameterError(f"i must be <= {n}, got i={self.i}")
+        _band(self, n)
 
 
 def parse_curve(text: str) -> ElementaryCurve:
     """Parse ``"Cij:2,3"``, ``"Cprime1:1"``, ``"C"``, ``"D"``, ``"core:1"`` ..."""
-    head, _, tail = text.strip().partition(":")
+    head, colon, tail = text.strip().partition(":")
 
     def indices(count: int, what: str) -> list[int]:
         parts = [part.strip() for part in tail.split(",")]
@@ -157,7 +154,7 @@ def parse_curve(text: str) -> ElementaryCurve:
         return ElementaryCurve(kind=head, i=indices(1, "an integer index")[0])
     if head in ("core", "bounding"):
         return ElementaryCurve(kind=head, j=indices(1, "an integer crosscap index")[0])
-    if head in ("C", "D") and not tail:
+    if head in ("C", "D") and not colon:
         return ElementaryCurve(kind=head)
     raise InvalidParameterError(f"cannot parse curve spec {text!r}")
 
@@ -187,45 +184,41 @@ def _catalog(n: int, include_nonprimitive: bool) -> tuple[ElementaryCurve, ...]:
     return tuple(curves)
 
 
-def elementary_coords(curve: ElementaryCurve, n: int) -> DynnikovCoordinates:
-    """The ``(a; b; t; c1, c2)`` vector of an elementary curve."""
-    curve.check(n)
-    a = (0,) * (n - 1)
-    b = [0] * n
-    c1 = c2 = 0
-    if curve.kind == "Cij":
-        if curve.i > 1:
-            b[curve.i - 2] = -1
-        b[curve.j - 2] = 1
-    elif curve.kind == "Cprime1":
-        if curve.i > 1:
-            b[curve.i - 2] = -1
-        b[n - 1] = 1
-    elif curve.kind == "Cprime2":
-        b[curve.i - 2] = -1
-    elif curve.kind == "C":
-        b[n - 1] = -1
-    elif curve.kind == "D":
-        b[n - 1] = -1
-        c1 = c2 = 1
-    elif curve.kind == "core":
-        c1, c2 = (-1, 0) if curve.j == 1 else (0, -1)
-    else:  # bounding
-        c1, c2 = (-2, 0) if curve.j == 1 else (0, -2)
-    return DynnikovCoordinates(n=n, a=a, b=tuple(b), t=0, c1=c1, c2=c2)
-
-
 def _band(curve: ElementaryCurve, n: int) -> tuple[int, int]:
     """First and last region of the range a disk-bounding curve encloses
     (``D`` reads ``C``'s): ``C_{i,j}`` encloses ``S_{i-1,j-1}``,
-    ``C'_{i,k}`` encloses ``S'_{i-1,k}`` and ``C`` encloses ``S'_{n,2}``."""
-    if curve.kind == "Cij":
+    ``C'_{i,k}`` encloses ``S'_{i-1,k}`` and ``C`` encloses ``S'_{n,2}``.
+    Raises :class:`InvalidParameterError` for an index past ``n``."""
+    kind = curve.kind
+    if kind == "Cij":
+        if curve.j > n:
+            raise InvalidParameterError(f"C_(i,j) needs j <= {n}, got j={curve.j}")
         return curve.i - 1, curve.j - 1
-    if curve.kind == "Cprime1":
-        return curve.i - 1, n
-    if curve.kind == "Cprime2":
-        return curve.i - 1, n + 1
+    if kind in ("Cprime1", "Cprime2"):
+        if curve.i > n:
+            raise InvalidParameterError(f"i must be <= {n}, got i={curve.i}")
+        return curve.i - 1, n if kind == "Cprime1" else n + 1
     return n, n + 1
+
+
+def elementary_coords(curve: ElementaryCurve, n: int) -> DynnikovCoordinates:
+    """The ``(a; b; t; c1, c2)`` vector of an elementary curve: ``b`` is
+    ``-1`` on the arc left of its band and ``+1`` on the arc right of it,
+    where those are among ``beta_1..beta_n``."""
+    b = [0] * n
+    c1 = c2 = 0
+    if curve.nonprimitive:
+        c = -1 if curve.kind == "core" else -2
+        c1, c2 = (c, 0) if curve.j == 1 else (0, c)
+    else:
+        first, last = _band(curve, n)
+        if first > 0:
+            b[first - 1] = -1
+        if last <= n:
+            b[last - 1] = 1
+        if curve.kind == "D":
+            c1 = c2 = 1
+    return DynnikovCoordinates(n=n, a=(0,) * (n - 1), b=tuple(b), t=0, c1=c1, c2=c2)
 
 
 class _Layout(NamedTuple):
@@ -244,7 +237,15 @@ class _Layout(NamedTuple):
 
 
 def _layout(curves: tuple[ElementaryCurve, ...], n: int) -> _Layout:
-    bands = tuple(_band(curve, n) for curve in curves)
+    """The layout of ``curves``; the first one the formulas do not cover,
+    non-primitive or with an index past ``n``, raises."""
+    bands = []
+    for curve in curves:
+        if curve.nonprimitive:
+            raise UnsupportedCurveError(
+                f"no intersection formula for non-primitive curve {curve.label()}"
+            )
+        bands.append(_band(curve, n))
     firsts = sorted({first for first, _ in bands})
     offset = {}
     size = 0
@@ -252,7 +253,7 @@ def _layout(curves: tuple[ElementaryCurve, ...], n: int) -> _Layout:
         offset[first] = size - first
         size += n + 2 - first
     return _Layout(
-        bands=bands,
+        bands=tuple(bands),
         firsts=tuple(firsts),
         index=tuple(offset[first] + last for first, last in bands),
         d_at=tuple(k for k, curve in enumerate(curves) if curve.kind == "D"),
@@ -278,12 +279,6 @@ def _checked(
     n = coords.n
     if curves is None:
         return _catalog(n, False), _catalog_layout(n)
-    for curve in curves:
-        if curve.nonprimitive:
-            raise UnsupportedCurveError(
-                f"no intersection formula for non-primitive curve {curve.label()}"
-            )
-        curve.check(n)
     return curves, _layout(curves, n)
 
 

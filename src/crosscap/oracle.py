@@ -214,7 +214,6 @@ def count_crossings(gl: GluingDescription, curve: ElementaryCurve) -> int:
         raise UnsupportedCurveError(
             f"no crossing rule for non-primitive curve {curve.label()}"
         )
-    curve.check(gl.n)
     crossings = _band_counts(gl, *_band(curve, gl.n))[4]
     return _d_value(gl, crossings) if curve.kind == "D" else crossings
 

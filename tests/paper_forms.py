@@ -2,7 +2,7 @@
 
 from crosscap.components import ComponentProfile
 from crosscap.coords import DynnikovCoordinates, TriangleCoordinates
-from crosscap.intersect import _band
+from crosscap.intersect import ElementaryCurve, _band
 from crosscap.large import RegionRange, counts_for_range
 
 
@@ -64,3 +64,31 @@ def per_curve_values(tri: TriangleCoordinates, prof: ComponentProfile, curves) -
             value = abs(tri.c1 - tri.c2) if value == 0 else value - tri.c1 - tri.c2
         out.append(value)
     return out
+
+
+def elementary_coords_by_kind(curve: ElementaryCurve, n: int) -> DynnikovCoordinates:
+    """The ``(a; b; t; c1, c2)`` vector of an elementary curve, one branch
+    per kind, as the library wrote it before it read ``b`` off the curve's
+    band.  Takes curves whose indices fit ``n``."""
+    b = [0] * n
+    c1 = c2 = 0
+    if curve.kind == "Cij":
+        if curve.i > 1:
+            b[curve.i - 2] = -1
+        b[curve.j - 2] = 1
+    elif curve.kind == "Cprime1":
+        if curve.i > 1:
+            b[curve.i - 2] = -1
+        b[n - 1] = 1
+    elif curve.kind == "Cprime2":
+        b[curve.i - 2] = -1
+    elif curve.kind == "C":
+        b[n - 1] = -1
+    elif curve.kind == "D":
+        b[n - 1] = -1
+        c1 = c2 = 1
+    elif curve.kind == "core":
+        c1, c2 = (-1, 0) if curve.j == 1 else (0, -1)
+    else:  # bounding
+        c1, c2 = (-2, 0) if curve.j == 1 else (0, -2)
+    return DynnikovCoordinates(n=n, a=(0,) * (n - 1), b=tuple(b), t=0, c1=c1, c2=c2)

@@ -171,6 +171,12 @@ class TestErrors:
         assert code == 1
         assert err.startswith("crosscap: error:") and "Cij:x,2" in err
 
+    @pytest.mark.parametrize("spec", ["C:", "D:"])
+    def test_c_and_d_with_a_colon_exit_one(self, capsys, spec):
+        code, out, err = run(capsys, "intersect", "(2; 1,0; -2; 2,0)", "--curve", spec)
+        assert code == 1 and out == ""
+        assert err == f"crosscap: error: cannot parse curve spec '{spec}'\n"
+
     @pytest.mark.parametrize("spec", ["Cij:1,\u0662", "Cij:1,0_2"])
     def test_non_ascii_curve_index_exits_one(self, capsys, spec):
         code, out, err = run(capsys, "intersect", "(2; 1,0; -2; 2,0)", "--curve", spec)

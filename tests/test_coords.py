@@ -305,6 +305,38 @@ class TestTriangleCoordinates:
         with pytest.raises(InconsistentTriangleError):
             TriangleCoordinates(n=2, alpha=(-1, 1), beta=(2, 2, 2), gamma=2, c1=0, c2=0)
 
+    # Triangles that pass the sign and parity checks but force a negative
+    # component count, each with the one message it must get.  The base is
+    # (1,1,1,1; 2,2,2,2; 2; 0,0) at n=3; the last six fail two derived-count
+    # checks at once, and the first in the order puncture 2, puncture 3,
+    # first crosscap, second crosscap (above before below) names the error.
+    @pytest.mark.parametrize(
+        "alpha, beta, gamma, c1, c2, message",
+        [
+            ((0, 2, 1, 1), (4, 2, 2, 2), 2, 0, 0, "negative above count at puncture 2"),
+            ((2, 0, 1, 1), (4, 2, 2, 2), 2, 0, 0, "negative below count at puncture 2"),
+            ((1, 1, 0, 2), (2, 2, 4, 4), 2, 0, 0, "negative above count at puncture 3"),
+            ((1, 1, 2, 0), (2, 2, 4, 4), 2, 0, 0, "negative below count at puncture 3"),
+            ((1, 1, 1, 1), (2, 2, 2, 2), 2, 2, 0, "negative above count at first crosscap"),
+            ((1, 1, 1, 1), (2, 2, 2, 2), 6, 0, 0, "negative below count at first crosscap"),
+            (
+                (1, 1, 1, 1), (2, 2, 2, 2), 2, 0, 2,
+                "second crosscap cannot host that many core crossings: beta_4=2 < 2*c2",
+            ),
+            ((0, 0, 1, 1), (4, 2, 2, 2), 2, 0, 0, "negative above count at puncture 2"),
+            ((2, 0, 0, 2), (4, 2, 4, 4), 2, 0, 0, "negative below count at puncture 2"),
+            ((1, 1, 2, 0), (2, 2, 4, 4), 2, 4, 0, "negative below count at puncture 3"),
+            ((1, 1, 1, 1), (2, 2, 2, 2), 6, 4, 0, "negative above count at first crosscap"),
+            ((1, 1, 1, 1), (2, 2, 2, 2), 6, 0, 2, "negative below count at first crosscap"),
+            ((0, 2, 1, 1), (4, 2, 2, 2), 2, 0, 2, "negative above count at puncture 2"),
+        ],
+    )
+    def test_derived_count_messages_and_their_order(self, alpha, beta, gamma, c1, c2, message):
+        TriangleCoordinates(n=3, alpha=(1, 1, 1, 1), beta=(2, 2, 2, 2), gamma=2, c1=0, c2=0)
+        with pytest.raises(InconsistentTriangleError) as err:
+            TriangleCoordinates(n=3, alpha=alpha, beta=beta, gamma=gamma, c1=c1, c2=c2)
+        assert str(err.value) == message
+
     def test_text_round_trip(self):
         tri = TriangleCoordinates(n=2, alpha=(3, 1), beta=(4, 2, 2), gamma=4, c1=1, c2=1)
         assert parse_triangle(format_triangle(tri)) == tri

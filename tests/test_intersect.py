@@ -23,7 +23,8 @@ from crosscap.intersect import (
 from crosscap.components import profile
 from crosscap.inversion import invert, realizable
 from crosscap.large import RegionRange, counts_for_range
-from paper_forms import per_curve_values
+from crosscap.oracle import build_diagram, count_crossings
+from paper_forms import elementary_coords_by_kind, per_curve_values
 from test_large import random_vector
 
 FINAL = parse_coords("(-1; 1,0; 1; 1,1)")
@@ -98,6 +99,12 @@ class TestCatalog:
 
 
 class TestParseCurve:
+    @pytest.mark.parametrize("text", ["C:", "D:", "C:x", " D : "])
+    def test_c_and_d_take_no_colon(self, text):
+        with pytest.raises(InvalidParameterError) as err:
+            parse_curve(text)
+        assert str(err.value) == f"cannot parse curve spec {text!r}"
+
     def test_whitespace_and_sign_accepted(self):
         assert parse_curve("Cij:1, 2") == ElementaryCurve.Cij(1, 2)
         assert parse_curve(" Cprime1: +3 ") == ElementaryCurve.Cprime1(3)
@@ -132,6 +139,11 @@ class TestElementaryCoords:
         assert elementary_coords(ElementaryCurve.Cprime1(1), n).b == (0, 0, 1)
         assert elementary_coords(ElementaryCurve.Cprime1(3), n).b == (0, -1, 1)
         assert elementary_coords(ElementaryCurve.Cprime2(3), n).b == (0, -1, 0)
+
+    def test_band_matches_the_per_kind_chain(self):
+        for n in range(2, 65):
+            for curve in catalog(n, include_nonprimitive=True):
+                assert elementary_coords(curve, n) == elementary_coords_by_kind(curve, n), (n, curve)
 
     def test_nonprimitive_encodings(self):
         assert elementary_coords(ElementaryCurve.core(1), 2).c1 == -1
@@ -260,6 +272,45 @@ class TestErrors:
     def test_curve_out_of_range_for_n(self):
         with pytest.raises(InvalidParameterError):
             intersect_elementary(FINAL, ElementaryCurve.Cij(1, 3))
+
+    def test_curves_are_checked_in_their_order(self):
+        # one curve out of range and one non-primitive: the first one named
+        # gives the error, whichever it is
+        v = parse_coords("(2; 1,0; -2; 2,0)")
+        far, core = ElementaryCurve.Cij(1, 9), ElementaryCurve.core(1)
+        with pytest.raises(InvalidParameterError, match=r"^C_\(i,j\) needs j <= 2, got j=9$"):
+            elementary_values(v, (far, core))
+        with pytest.raises(UnsupportedCurveError, match="^no intersection formula for"):
+            elementary_values(v, (core, far))
+        gl = build_diagram(profile(invert(v)))
+        with pytest.raises(InvalidParameterError, match=r"^C_\(i,j\) needs j <= 2, got j=9$"):
+            count_crossings(gl, far)
+        with pytest.raises(UnsupportedCurveError, match="^no crossing rule for"):
+            count_crossings(gl, core)
+        with pytest.raises(InvalidParameterError, match=r"^C_\(i,j\) needs j <= 2, got j=9$"):
+            far.check(2)
+        assert core.check(2) is None
+
+    @pytest.mark.parametrize(
+        "curve, message",
+        [
+            (ElementaryCurve.Cprime1(3), "i must be <= 2, got i=3"),
+            (ElementaryCurve.Cprime2(3), "i must be <= 2, got i=3"),
+            (ElementaryCurve.Cij(2, 3), "C_(i,j) needs j <= 2, got j=3"),
+        ],
+    )
+    def test_out_of_range_message_is_the_same_at_every_door(self, curve, message):
+        v = parse_coords("(2; 1,0; -2; 2,0)")
+        gl = build_diagram(profile(invert(v)))
+        for door in (
+            lambda: curve.check(2),
+            lambda: elementary_coords(curve, 2),
+            lambda: elementary_values(v, (curve,)),
+            lambda: count_crossings(gl, curve),
+        ):
+            with pytest.raises(InvalidParameterError) as err:
+                door()
+            assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "i, j", [(1, 2.0), (1.0, 2), (True, 2), (1, True), (1, "2"), (None, 2)]
