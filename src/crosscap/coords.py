@@ -80,6 +80,14 @@ def _ints(values, names, error: type = DimensionMismatchError) -> tuple[int, ...
     raise error(f"{name} must be an integer, got {x!r}")
 
 
+def _puncture_count(n) -> None:
+    """The check of every door that takes a bare puncture count: an exact
+    ``int`` of at least 2, else :class:`DimensionMismatchError`."""
+    _ints((n,), ("n",))
+    if n < 2:
+        raise DimensionMismatchError(f"puncture count must be >= 2, got {n}")
+
+
 # looked up once: a gluing builds a dozen values through _unchecked
 _new, _set = object.__new__, object.__setattr__
 

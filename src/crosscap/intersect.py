@@ -27,13 +27,10 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .components import ComponentProfile, profile
-from .coords import _ASCII_INT, DynnikovCoordinates, TriangleCoordinates, _ints, _too_long
-from .errors import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    NonprimitiveContentError,
-    UnsupportedCurveError,
+from .coords import (
+    _ASCII_INT, DynnikovCoordinates, TriangleCoordinates, _ints, _puncture_count, _too_long
 )
+from .errors import InvalidParameterError, NonprimitiveContentError, UnsupportedCurveError
 from .inversion import invert
 from .large import _row
 
@@ -131,7 +128,9 @@ class ElementaryCurve:
         return self.kind
 
     def check(self, n: int):
-        """Validate the parameters against the puncture count."""
+        """Validate the parameters against the puncture count, after ``n``
+        itself as :func:`catalog` does."""
+        _puncture_count(n)
         _band(self, n)
 
 
@@ -164,9 +163,7 @@ def catalog(n: int, include_nonprimitive: bool = False) -> tuple[ElementaryCurve
 
     ``n`` must be an ``int`` of at least 2, or :class:`DimensionMismatchError` is raised.
     """
-    _ints((n,), ("n",))
-    if n < 2:
-        raise DimensionMismatchError(f"puncture count must be >= 2, got {n}")
+    _puncture_count(n)
     return _catalog(n, include_nonprimitive)
 
 
@@ -204,7 +201,9 @@ def _band(curve: ElementaryCurve, n: int) -> tuple[int, int]:
 def elementary_coords(curve: ElementaryCurve, n: int) -> DynnikovCoordinates:
     """The ``(a; b; t; c1, c2)`` vector of an elementary curve: ``b`` is
     ``-1`` on the arc left of its band and ``+1`` on the arc right of it,
-    where those are among ``beta_1..beta_n``."""
+    where those are among ``beta_1..beta_n``.  ``n`` is checked as
+    :func:`catalog` checks it."""
+    _puncture_count(n)
     b = [0] * n
     c1 = c2 = 0
     if curve.nonprimitive:

@@ -32,7 +32,10 @@ left, and the second crosscap region one with only right loops, so every
 count touching them comes out of the same expressions; only non-core loops
 can be large.  :func:`_row` makes one pass per left end: it appends
 each range's crossing total as it goes, and a range's counts are where the
-pass stops.
+pass stops.  An entry where neither minimum falls and no left loop is left
+moves no count, so it costs one comparison pair and one addition: the
+row's ``beta_l - 2(over + under)``, refreshed only where a minimum falls,
+plus the entry's right arc.
 """
 
 from __future__ import annotations
@@ -121,6 +124,12 @@ def _row(p: ComponentProfile, firsts: tuple[int, ...], last: int | None = None) 
     """
     regions = p.regions
     arcs = (0, *p.beta, 0)
+    # region k's above and below counts, its loops that can be large on the
+    # right, and the arc right of it
+    cells = [
+        (a, b, loops if side == "right" else 0, arc)
+        for (a, b, _, _, loops, side), arc in zip(regions, arcs[1:])
+    ]
     stop = None if last is None else last + 1
     totals: list[int] = []
     append = totals.append
@@ -131,10 +140,14 @@ def _row(p: ComponentProfile, firsts: tuple[int, ...], last: int | None = None) 
         left = loops_l if side_l == "left" else 0
         right = loops_l if side_l == "right" else 0  # one region: all its loops are large
         over, under = a_l, b_l
-        append(base + arcs[l + 1] - 2 * (over + under + right + left))
-        for (a, b, _, _, loops, side), arc in zip(regions[l + 1 : stop], arcs[l + 2 :]):
+        fixed = base - 2 * (over + under)  # refreshed only where a minimum falls
+        append(fixed + arcs[l + 1] - 2 * (right + left))
+        for a, b, loops, arc in cells[l + 1 : stop]:
             right = 0
-            if side == "right" and a < over and b < under:
+            if a >= over and b >= under and not left:  # no count moves
+                append(fixed + arc)
+                continue
+            if loops and a < over and b < under:
                 right = min(over - a, under - b, loops)
             if a < over:
                 over = a
@@ -142,7 +155,8 @@ def _row(p: ComponentProfile, firsts: tuple[int, ...], last: int | None = None) 
                 under = b
             if left:  # it only falls, so once 0 it stays 0
                 left = max(0, min(left, a - a_l, b - b_l))
-            append(base + arc - 2 * (over + under + right + left))
+            fixed = base - 2 * (over + under)
+            append(fixed + arc - 2 * (right + left))
     return totals, (over, under, right, left)
 
 

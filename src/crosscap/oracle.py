@@ -49,13 +49,8 @@ from .components import (
     profile,
     reconstruct,
 )
-from .coords import DynnikovCoordinates, _ints, _unchecked, format_coords
-from .errors import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    NonprimitiveContentError,
-    UnsupportedCurveError,
-)
+from .coords import DynnikovCoordinates, _ints, _puncture_count, _unchecked, format_coords
+from .errors import InvalidParameterError, NonprimitiveContentError, UnsupportedCurveError
 from .intersect import ElementaryCurve, _band, _checked, _formula_values
 from .inversion import invert, realizable
 from .large import RegionRange, _span
@@ -275,9 +270,7 @@ def _box(n: int, bound: int, cmax: int, jobs: int = 1) -> int:
     """Points in the box, after the one check of a sweep's arguments: exact
     ints, ``n >= 2`` (else :class:`DimensionMismatchError`) and ``bound,
     cmax >= 0`` (else :class:`InvalidParameterError`)."""
-    _ints((n,), ("n",), DimensionMismatchError)
-    if n < 2:
-        raise DimensionMismatchError(f"puncture count must be >= 2, got {n}")
+    _puncture_count(n)
     _ints((bound, cmax, jobs), ("bound", "cmax", "jobs"), InvalidParameterError)
     if bound < 0 or cmax < 0:
         raise InvalidParameterError(f"bound and cmax must be >= 0, got {bound} and {cmax}")

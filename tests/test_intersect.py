@@ -29,6 +29,17 @@ from test_large import random_vector
 
 FINAL = parse_coords("(-1; 1,0; 1; 1,1)")
 
+# puncture counts no surface has, and the message every door gives for them
+BAD_N = [
+    (True, "n must be an integer, got True"),
+    (2.0, "n must be an integer, got 2.0"),
+    ("3", "n must be an integer, got '3'"),
+    (2.5, "n must be an integer, got 2.5"),
+    (1, "puncture count must be >= 2, got 1"),
+    (0, "puncture count must be >= 2, got 0"),
+    (-3, "puncture count must be >= 2, got -3"),
+]
+
 
 class TestCatalog:
     def test_sizes(self):
@@ -79,23 +90,23 @@ class TestCatalog:
         assert built == []
 
 
-    @pytest.mark.parametrize(
-        "n, message",
-        [
-            (True, "n must be an integer, got True"),
-            (2.0, "n must be an integer, got 2.0"),
-            ("3", "n must be an integer, got '3'"),
-            (1, "puncture count must be >= 2, got 1"),
-            (0, "puncture count must be >= 2, got 0"),
-            (-3, "puncture count must be >= 2, got -3"),
-        ],
-    )
+    @pytest.mark.parametrize("n, message", BAD_N)
     def test_catalog_rejects_surfaces_that_do_not_exist(self, n, message):
         with pytest.raises(DimensionMismatchError) as err:
             catalog(n)
         assert str(err.value) == message
         with pytest.raises(DimensionMismatchError):
             catalog(n, include_nonprimitive=True)
+
+    @pytest.mark.parametrize("n, message", BAD_N)
+    def test_curve_doors_check_n_as_catalog_does(self, n, message):
+        # check() and elementary_coords() used to return silently on 2.5 or
+        # 1, or fail with a bare TypeError on 2.0 and "2"
+        for curve in (ElementaryCurve.Cij(1, 2), ElementaryCurve.C(), ElementaryCurve.core(1)):
+            for door in (lambda: curve.check(n), lambda: elementary_coords(curve, n)):
+                with pytest.raises(DimensionMismatchError) as err:
+                    door()
+                assert str(err.value) == message
 
 
 class TestParseCurve:

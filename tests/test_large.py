@@ -6,7 +6,7 @@ from math import inf
 
 import pytest
 
-from crosscap.components import profile
+from crosscap.components import ComponentProfile, NonprimitiveCurves, profile
 from crosscap.coords import DynnikovCoordinates, TriangleCoordinates
 from crosscap.errors import InvalidRangeError
 from crosscap.inversion import invert, realizable
@@ -203,6 +203,86 @@ class TestRowsAgainstFreshMinima:
         # entries in [-2, 2]: neighbouring regions often tie, and a tie
         # leaves no room for a large loop
         _check_rows(n, cases, seed=n + 1, magnitude=2)
+
+
+def fresh_entry(p, l, last):
+    """The crossing total and the counts of regions ``l..last`` from fresh
+    minima: the strands on the two boundary arcs minus twice the large
+    counts, with undefined counts read as 0.  ``l = n + 1`` is the second
+    crosscap region alone, which no valid range names; its minima over
+    the puncture regions are empty."""
+    n = p.n
+    rng = RegionRange.punctures(l, last) if last < n else RegionRange(l=l, crosscap=last - n + 1)
+    counts = tuple(count or 0 for count in fresh_min_counts(p, rng))
+    arcs = (0, *p.beta, 0)
+    return arcs[l] + arcs[last + 1] - 2 * sum(counts), counts
+
+
+def table_profile(s0_loops, punctures, cross1, cross2_loops, beta):
+    """A profile built straight from a hand-made region table: ``punctures``
+    holds ``(above, below, loops, side)`` of ``S_1..S_{n-1}`` and ``cross1``
+    the same for the first crosscap region.  The table need not come from a
+    multicurve: the rows and the fresh minima are both functions of it."""
+    above, below, loops, sides = zip(*punctures)
+    c_above, c_below, c_loops, c_side = cross1
+    return ComponentProfile(
+        n=len(punctures) + 1, beta=beta, s0_loops=s0_loops,
+        above=above, below=below, loops=loops, sides=sides,
+        cross1_above=c_above, cross1_below=c_below, straight_cores=0,
+        cross1_core_loops=0, cross1_noncore_loops=c_loops, cross1_side=c_side,
+        cross2_core_loops=0, cross2_noncore_loops=cross2_loops,
+        nonprimitive=NonprimitiveCurves(0, 0, 0, 0),
+    )
+
+
+BETA = (5, 3, 8, 2, 7, 4, 6)
+TABLES = {
+    # every entry after a row's first leaves both minima and has no left loops
+    "flat": table_profile(
+        0, [(0, 0, 1, "right"), (0, 0, 0, "left"), (0, 0, 2, "right"), (0, 0, 0, "right"),
+            (0, 0, 3, "right")], (0, 0, 1, "right"), 2, BETA,
+    ),
+    # from every left end past S_0, every entry lowers both minima
+    "falling": table_profile(
+        3, [(10, 11, 0, "left"), (8, 9, 1, "right"), (6, 6, 5, "right"), (4, 4, 2, "left"),
+            (3, 2, 0, "right")], (2, 1, 1, "right"), 4, BETA,
+    ),
+    # the row from S_1 keeps left loops 3, 3, 2, 1, then 0 at S_5, then the
+    # first crosscap region moves nothing
+    "left prefix": table_profile(
+        2, [(1, 0, 3, "left"), (5, 3, 0, "right"), (4, 2, 1, "right"), (3, 1, 0, "left"),
+            (6, 0, 2, "right")], (7, 5, 1, "right"), 2, BETA,
+    ),
+}
+
+
+def _check_whole_rows(p):
+    n = p.n
+    want = [fresh_entry(p, l, last)[0] for l in range(n + 2) for last in range(l, n + 2)]
+    assert _row(p, tuple(range(n + 2)))[0] == want, p
+
+
+class TestWholeRowsAgainstFreshMinima:
+    """Every entry of the rows from every left end at once, middle entries
+    included: ``counts_for_range`` reads only a row's last entry."""
+
+    @pytest.mark.parametrize("magnitude", [10**9, 2])
+    @pytest.mark.parametrize("n, cases", [(2, 200), (5, 100), (12, 40), (64, 5)])
+    def test_rows_from_every_left_end(self, n, cases, magnitude):
+        rnd = random.Random(1000 * n + magnitude % 997)
+        for _ in range(cases):
+            _check_whole_rows(profile(invert(random_vector(rnd, n, magnitude))))
+
+    @pytest.mark.parametrize("name", TABLES)
+    def test_hand_made_tables(self, name):
+        p = TABLES[name]
+        _check_whole_rows(p)
+        n = p.n
+        for l in range(n + 2):
+            for last in range(l, n + 2):
+                entries = [fresh_entry(p, l, m) for m in range(l, last + 1)]
+                want = [total for total, _ in entries], entries[-1][1]
+                assert _row(p, (l,), last) == want, (name, l, last)
 
 
 class TestAgainstTracing:
