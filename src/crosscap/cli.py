@@ -66,6 +66,7 @@ def _int(text: str) -> int:
 
 
 def _add_coords_input(sub: argparse.ArgumentParser, triangle: bool = False):
+    """The arguments of every subcommand that reads coordinates."""
     what = "triangle" if triangle else "multicurve"
     sub.add_argument(
         "coords",
@@ -138,10 +139,25 @@ def _cmd_invert(args) -> int:
     return 0
 
 
+def _coordinatize_args(p: argparse.ArgumentParser):
+    _add_coords_input(p, triangle=True)
+
+
 def _cmd_coordinatize(args) -> int:
     coords = coordinatize(_read_triangle(args))
     _emit(coords.to_dict(), lambda: format_coords(coords), args.json)
     return 0
+
+
+def _profile_args(p: argparse.ArgumentParser):
+    _add_coords_input(p)
+    p.add_argument(
+        "--large",
+        nargs=2,
+        type=_int,
+        metavar=("L", "M"),
+        help="also show large component counts for the range (L, M)",
+    )
 
 
 def _cmd_profile(args) -> int:
@@ -198,6 +214,16 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+def _intersect_args(p: argparse.ArgumentParser):
+    _add_coords_input(p)
+    p.add_argument(
+        "--curve",
+        action="append",
+        help="curve spec: Cij:I,J | Cprime1:I | Cprime2:I | C | D (repeatable)",
+    )
+    p.add_argument("--all", action="store_true", help="evaluate the whole catalog")
+
+
 def _cmd_intersect(args) -> int:
     coords = _read_vector(args)
     if args.curve and args.all:
@@ -218,6 +244,14 @@ def _cmd_intersect(args) -> int:
     return 0
 
 
+def _render_args(p: argparse.ArgumentParser):
+    _add_coords_input(p)
+    p.add_argument("--out", help="output file (stdout when omitted)")
+    p.add_argument("--width", type=_int, default=0)
+    p.add_argument("--height", type=_int, default=0)
+    p.add_argument("--spacing", type=_int, default=90)
+
+
 def _cmd_render(args) -> int:
     gl = reconstruct(profile(invert(_read_vector(args))))
     svg = render_svg(gl, RenderSpec(width=args.width, height=args.height, spacing=args.spacing))
@@ -228,6 +262,16 @@ def _cmd_render(args) -> int:
     else:
         sys.stdout.write(svg)
     return 0
+
+
+def _selftest_args(p: argparse.ArgumentParser):
+    p.add_argument("--n", type=_int, default=2)
+    p.add_argument("--bound", type=_int, default=2)
+    p.add_argument("--cmax", type=_int, default=None)
+    p.add_argument(
+        "--jobs", type=_int, default=0, help="worker processes (0 = auto, at most the CPUs)"
+    )
+    p.add_argument("--json", action="store_true")
 
 
 def _cmd_selftest(args) -> int:
@@ -273,69 +317,36 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
+# The subcommands in help order: name, help line, the function that adds
+# their arguments, handler.
+_COMMANDS = (
+    ("invert", "vector -> crossing counts", _add_coords_input, _cmd_invert),
+    ("coordinatize", "crossing counts -> vector", _coordinatize_args, _cmd_coordinatize),
+    ("profile", "per-region component counts", _profile_args, _cmd_profile),
+    ("intersect", "intersection numbers with elementary curves", _intersect_args, _cmd_intersect),
+    ("render", "draw the multicurve as SVG", _render_args, _cmd_render),
+    ("selftest", "sweep a grid comparing formulas vs tracing", _selftest_args, _cmd_selftest),
+)
+_NAMES = tuple(row[0] for row in _COMMANDS)
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _Parser(
         prog="crosscap",
         description="Multicurve coordinates and intersection numbers on a "
         "punctured non-orientable genus-2 surface.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("invert", help="vector -> crossing counts")
-    _add_coords_input(p)
-    p.set_defaults(fn=_cmd_invert)
-
-    p = sub.add_parser(
-        "coordinatize", help="crossing counts -> vector"
-    )
-    _add_coords_input(p, triangle=True)
-    p.set_defaults(fn=_cmd_coordinatize)
-
-    p = sub.add_parser(
-        "profile", help="per-region component counts"
-    )
-    _add_coords_input(p)
-    p.add_argument(
-        "--large",
-        nargs=2,
-        type=_int,
-        metavar=("L", "M"),
-        help="also show large component counts for the range (L, M)",
-    )
-    p.set_defaults(fn=_cmd_profile)
-
-    p = sub.add_parser(
-        "intersect", help="intersection numbers with elementary curves"
-    )
-    _add_coords_input(p)
-    p.add_argument(
-        "--curve",
-        action="append",
-        help="curve spec: Cij:I,J | Cprime1:I | Cprime2:I | C | D (repeatable)",
-    )
-    p.add_argument("--all", action="store_true", help="evaluate the whole catalog")
-    p.set_defaults(fn=_cmd_intersect)
-
-    p = sub.add_parser("render", help="draw the multicurve as SVG")
-    _add_coords_input(p)
-    p.add_argument("--out", help="output file (stdout when omitted)")
-    p.add_argument("--width", type=_int, default=0)
-    p.add_argument("--height", type=_int, default=0)
-    p.add_argument("--spacing", type=_int, default=90)
-    p.set_defaults(fn=_cmd_render)
-
-    p = sub.add_parser(
-        "selftest", help="sweep a grid comparing formulas vs tracing"
-    )
-    p.add_argument("--n", type=_int, default=2)
-    p.add_argument("--bound", type=_int, default=2)
-    p.add_argument("--cmax", type=_int, default=None)
-    p.add_argument(
-        "--jobs", type=_int, default=0, help="worker processes (0 = auto, at most the CPUs)"
-    )
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_selftest)
-
+    # Every subcommand is listed in usage and help, but only the one argparse
+    # dispatches to gets its arguments: the first element of argv that names
+    # one (the top-level parser has no option that takes a value).
+    invoked = next((arg for arg in argv if arg in _NAMES), None)
+    for name, help_line, add_arguments, handler in _COMMANDS:
+        p = sub.add_parser(name, help=help_line)
+        if name == invoked:
+            add_arguments(p)
+            p.set_defaults(fn=handler)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse help/usage paths

@@ -151,12 +151,16 @@ def _too_long(what: str) -> str:
 
 
 def _fields(data: dict, keys: tuple[str, ...]) -> list:
-    """The JSON fields ``keys`` plus the two ``c`` entries (default zero)."""
+    """The JSON fields ``keys`` plus the two ``c`` entries (default zero).
+    A key that is neither, such as ``c1``, is an error rather than ignored."""
     if not isinstance(data, dict):
         raise DimensionMismatchError(f"expected a JSON object, got {data!r}")
     missing = [key for key in keys if key not in data]
     if missing:
         raise DimensionMismatchError(f"missing key(s) {', '.join(missing)}")
+    unknown = [str(key) for key in data if key != "c" and key not in keys]
+    if unknown:
+        raise DimensionMismatchError(f"unknown key(s) {', '.join(unknown)}")
     c = data.get("c", [0, 0])
     if not isinstance(c, (list, tuple)) or len(c) != 2:
         raise DimensionMismatchError("c must have exactly 2 entries")
@@ -406,6 +410,8 @@ def _parse_blocks(text: str) -> list[list[int]]:
     goes to the scanner, which raises the error naming the offending
     position.
     """
+    if not isinstance(text, str):
+        raise CoordinateSyntaxError(f"expected coordinate text, got {text!r}", 0)
     if _GRAMMAR.fullmatch(text) is None:
         return _scan_blocks(text)
     inner = "".join(text.split())[1:-1]  # no whitespace: int() skips less than isspace()
@@ -418,9 +424,11 @@ def _parse_blocks(text: str) -> list[list[int]]:
 def parse_coords(text: str, n: int | None = None) -> DynnikovCoordinates:
     """Parse ``"(a; b; t; c1,c2)"``.  Whitespace-insensitive.
 
-    ``n`` is inferred from the ``b`` block; when given explicitly it is
-    cross-checked against the inferred value.
+    ``n`` is inferred from the ``b`` block; when given explicitly it must
+    be an exact int, and it is cross-checked against the inferred value.
     """
+    if n is not None:
+        _ints((n,), ("n",))
     a, b, t, c = _parse_blocks(text)
     if len(t) != 1:
         raise CoordinateSyntaxError("t block must hold a single integer", 0)
@@ -444,6 +452,8 @@ def format_coords(coords: DynnikovCoordinates) -> str:
 
 def parse_triangle(text: str, n: int | None = None) -> TriangleCoordinates:
     """Parse ``"(alpha; beta; gamma; c1,c2)"`` (same conventions)."""
+    if n is not None:
+        _ints((n,), ("n",))
     alpha, beta, gamma, c = _parse_blocks(text)
     if len(gamma) != 1:
         raise CoordinateSyntaxError("gamma block must hold a single integer", 0)

@@ -30,7 +30,9 @@ from .components import ComponentProfile, profile
 from .coords import (
     _ASCII_INT, DynnikovCoordinates, TriangleCoordinates, _ints, _puncture_count, _too_long
 )
-from .errors import InvalidParameterError, NonprimitiveContentError, UnsupportedCurveError
+from .errors import (
+    DimensionMismatchError, InvalidParameterError, NonprimitiveContentError, UnsupportedCurveError
+)
 from .inversion import invert
 from .large import _row
 
@@ -136,6 +138,8 @@ class ElementaryCurve:
 
 def parse_curve(text: str) -> ElementaryCurve:
     """Parse ``"Cij:2,3"``, ``"Cprime1:1"``, ``"C"``, ``"D"``, ``"core:1"`` ..."""
+    if not isinstance(text, str):
+        raise InvalidParameterError(f"expected a curve spec, got {text!r}")
     head, colon, tail = text.strip().partition(":")
 
     def indices(count: int, what: str) -> list[int]:
@@ -161,9 +165,14 @@ def parse_curve(text: str) -> ElementaryCurve:
 def catalog(n: int, include_nonprimitive: bool = False) -> tuple[ElementaryCurve, ...]:
     """Every elementary curve on the surface with ``n`` punctures (built once per argument).
 
-    ``n`` must be an ``int`` of at least 2, or :class:`DimensionMismatchError` is raised.
+    ``n`` must be an ``int`` of at least 2, or :class:`DimensionMismatchError` is raised;
+    ``include_nonprimitive`` must be a bool.
     """
     _puncture_count(n)
+    if type(include_nonprimitive) is not bool:
+        raise InvalidParameterError(
+            f"include_nonprimitive must be a bool, got {include_nonprimitive!r}"
+        )
     return _catalog(n, include_nonprimitive)
 
 
@@ -240,6 +249,8 @@ def _layout(curves: tuple[ElementaryCurve, ...], n: int) -> _Layout:
     non-primitive or with an index past ``n``, raises."""
     bands = []
     for curve in curves:
+        if not isinstance(curve, ElementaryCurve):
+            raise InvalidParameterError(f"expected an ElementaryCurve, got {curve!r}")
         if curve.nonprimitive:
             raise UnsupportedCurveError(
                 f"no intersection formula for non-primitive curve {curve.label()}"
@@ -270,6 +281,8 @@ def _checked(
     """The curves the formulas evaluate on ``coords`` (default: the full
     in-scope catalog) and their layout, after rejecting what the formulas
     do not cover."""
+    if not isinstance(coords, DynnikovCoordinates):
+        raise DimensionMismatchError(f"expected DynnikovCoordinates, got {coords!r}")
     if coords.c1 < 0 or coords.c2 < 0:
         raise NonprimitiveContentError(
             "multicurve carries whole non-primitive components "
@@ -278,6 +291,10 @@ def _checked(
     n = coords.n
     if curves is None:
         return _catalog(n, False), _catalog_layout(n)
+    try:
+        curves = tuple(curves)
+    except TypeError:  # not iterable
+        raise InvalidParameterError(f"expected a tuple of curves, got {curves!r}") from None
     return curves, _layout(curves, n)
 
 

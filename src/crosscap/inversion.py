@@ -16,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coords import DynnikovCoordinates, TriangleCoordinates, _straight_cores, _unchecked
-from .errors import InconsistentTriangleError, UnrealizableCoordinatesError, ZeroVectorError
+from .errors import (
+    DimensionMismatchError, InconsistentTriangleError, UnrealizableCoordinatesError, ZeroVectorError
+)
 
 __all__ = ["InversionIntermediates", "intermediates", "invert", "coordinatize", "realizable"]
 
@@ -143,6 +145,8 @@ def coordinatize(tri: TriangleCoordinates) -> DynnikovCoordinates:
     :class:`InconsistentTriangleError` for other counts that no multicurve
     has: those the vector does not invert back to.
     """
+    if not isinstance(tri, TriangleCoordinates):
+        raise DimensionMismatchError(f"expected TriangleCoordinates, got {tri!r}")
     n = tri.n
     b = tri.half_differences()
     a = tuple(

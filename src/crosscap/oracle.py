@@ -49,10 +49,14 @@ from .components import (
     profile,
     reconstruct,
 )
-from .coords import DynnikovCoordinates, _ints, _puncture_count, _unchecked, format_coords
-from .errors import InvalidParameterError, NonprimitiveContentError, UnsupportedCurveError
+from .coords import (
+    DynnikovCoordinates, _ints, _puncture_count, _straight_cores, _unchecked, format_coords
+)
+from .errors import (
+    InvalidParameterError, InvalidRangeError, NonprimitiveContentError, UnsupportedCurveError
+)
 from .intersect import ElementaryCurve, _band, _checked, _formula_values
-from .inversion import invert, realizable
+from .inversion import invert
 from .large import RegionRange, _span
 
 __all__ = [
@@ -195,6 +199,12 @@ def _traced_values(gl: GluingDescription, bands: tuple, d_at: tuple[int, ...]) -
     return out
 
 
+def _diagram(gl) -> None:
+    """The check of every door that takes a diagram."""
+    if not isinstance(gl, GluingDescription):
+        raise InvalidParameterError(f"expected a GluingDescription, got {gl!r}")
+
+
 def count_crossings(gl: GluingDescription, curve: ElementaryCurve) -> int:
     """Crossings of the diagram's multicurve with one elementary curve,
     counted by walking strands.  Where ``c1, c2 >= 0`` it agrees with
@@ -205,6 +215,9 @@ def count_crossings(gl: GluingDescription, curve: ElementaryCurve) -> int:
     :class:`NonprimitiveContentError`; ``core`` and ``bounding`` curves
     raise :class:`UnsupportedCurveError` on every diagram.
     """
+    _diagram(gl)
+    if not isinstance(curve, ElementaryCurve):
+        raise InvalidParameterError(f"expected an ElementaryCurve, got {curve!r}")
     if curve.nonprimitive:
         raise UnsupportedCurveError(
             f"no crossing rule for non-primitive curve {curve.label()}"
@@ -217,6 +230,9 @@ def large_census(gl: GluingDescription, rng: RegionRange) -> tuple[int, int, int
     """Large components of a range, counted by tracing instead of formulas:
     ``(over, under, right_loops, left_loops)``, read off the rows traced
     from the range's boundary arcs."""
+    _diagram(gl)
+    if not isinstance(rng, RegionRange):
+        raise InvalidRangeError(f"expected a RegionRange, got {rng!r}")
     rng.check(gl.n)
     return _band_counts(gl, *_span(rng, gl.n))[:4]
 
@@ -282,39 +298,54 @@ def grid_size(n: int, bound: int, cmax: int) -> int:
     return _box(n, bound, cmax)
 
 
-def _decode(n: int, bound: int, cmax: int, idx: int) -> tuple:
-    """Mixed-radix decoding of one grid index into (a, b, t, c1, c2)."""
+def _decode(n: int, bound: int, head: int) -> tuple:
+    """Mixed-radix decoding of the ``(a, b, t)`` digits of a grid block:
+    ``t`` is the least significant digit, then ``b_1..b_n``, then
+    ``a_1..a_{n-1}``."""
     width = 2 * bound + 1
-    c2 = idx % (cmax + 1)
-    idx //= cmax + 1
-    c1 = idx % (cmax + 1)
-    idx //= cmax + 1
-    t = idx % width - bound
-    idx //= width
+    t = head % width - bound
+    head //= width
     b = []
     for _ in range(n):
-        b.append(idx % width - bound)
-        idx //= width
+        b.append(head % width - bound)
+        head //= width
     a = []
     for _ in range(n - 1):
-        a.append(idx % width - bound)
-        idx //= width
-    return tuple(a), tuple(b), t, c1, c2
+        a.append(head % width - bound)
+        head //= width
+    return tuple(a), tuple(b), t
 
 
 def _points(n: int, bound: int, cmax: int, indices: range) -> Iterator[DynnikovCoordinates]:
-    """The realizable nonzero vectors among the grid ``indices``, built
-    unchecked: the decoder's ints have the right shape, and the zero vector
-    is skipped here."""
-    for idx in indices:
-        a, b, t, c1, c2 = _decode(n, bound, cmax, idx)
-        if not (any(a) or any(b) or t or c1 or c2):
-            continue
-        coords = _unchecked(
-            DynnikovCoordinates, {"n": n, "a": a, "b": b, "t": t, "c1": c1, "c2": c2}
-        )
-        if realizable(coords):
-            yield coords
+    """The realizable nonzero vectors among the grid ``indices``, in grid
+    order, built unchecked: the decoder's ints have the right shape, and
+    the zero vector is skipped here.
+
+    Grid index ``idx`` holds ``c2 = idx % (cmax + 1)``, then ``c1``, then
+    the ``(a, b, t)`` digits, so each block of ``(cmax + 1)^2`` indices
+    shares one ``(a, b, t)``.  Those digits are decoded once per block, and
+    a ``c1`` whose straight-core count differs from ``t`` in parity (see
+    :func:`crosscap.inversion.realizable`) is skipped with all its ``c2``.
+    """
+    side = cmax + 1
+    block = side * side
+    start, stop = indices.start, indices.stop
+    for head in range(start // block, -(-stop // block)):
+        a, b, t = _decode(n, bound, head)
+        zero = not (any(a) or any(b) or t)
+        bn = b[-1]
+        base = head * block
+        lo, hi = max(start - base, 0), min(stop - base, block)
+        for c1 in range(lo // side, -(-hi // side)):
+            if (t + _straight_cores(c1, bn)) % 2:
+                continue
+            row = c1 * side
+            for c2 in range(max(lo - row, 0), min(hi - row, side)):
+                if zero and not (c1 or c2):
+                    continue
+                yield _unchecked(
+                    DynnikovCoordinates, {"n": n, "a": a, "b": b, "t": t, "c1": c1, "c2": c2}
+                )
 
 
 def grid_points(n: int, bound: int, cmax: int) -> Iterator[DynnikovCoordinates]:

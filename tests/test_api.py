@@ -1,5 +1,6 @@
-"""The public surface: every exported name resolves, and every module
-star-imports."""
+"""The public surface: every exported name resolves, every module
+star-imports, and every door turns a wrong kind of argument into a
+:class:`CrosscapError`."""
 
 import importlib
 import pkgutil
@@ -7,6 +8,14 @@ import pkgutil
 import pytest
 
 import crosscap
+from crosscap.errors import (
+    CoordinateSyntaxError,
+    CrosscapError,
+    DimensionMismatchError,
+    InvalidParameterError,
+    InvalidRangeError,
+)
+from crosscap.intersect import parse_curve
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(crosscap.__path__))
 
@@ -27,3 +36,93 @@ def test_module_exports_resolve_and_star_import(name):
     namespace = {}
     exec(f"from crosscap.{name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+# Each public door fed a wrong kind of argument, and the CrosscapError it
+# raises: (call, error, start of the message).  The checks sit in the public
+# functions, not in per-curve helpers such as ``intersect._band``.
+V = crosscap.parse_coords("(2; 1,0; -2; 2,0)")
+GL = crosscap.reconstruct(crosscap.profile(crosscap.invert(V)))
+C = crosscap.ElementaryCurve.C()
+DOORS = {
+    "parse_coords(None)": (
+        lambda: crosscap.parse_coords(None), CoordinateSyntaxError, "expected coordinate text"
+    ),
+    "parse_coords(bytes)": (
+        lambda: crosscap.parse_coords(b"(2; 1,0; -2; 2,0)"),
+        CoordinateSyntaxError,
+        "expected coordinate text",
+    ),
+    "parse_coords(n=2.0)": (
+        lambda: crosscap.parse_coords("(2; 1,0; -2; 2,0)", n=2.0),
+        DimensionMismatchError,
+        "n must be an integer",
+    ),
+    "parse_triangle(None)": (
+        lambda: crosscap.parse_triangle(None), CoordinateSyntaxError, "expected coordinate text"
+    ),
+    "parse_triangle(n=True)": (
+        lambda: crosscap.parse_triangle("(1,5; 6,4,4; 4; 2,0)", n=True),
+        DimensionMismatchError,
+        "n must be an integer",
+    ),
+    "parse_curve(None)": (
+        lambda: parse_curve(None), InvalidParameterError, "expected a curve spec"
+    ),
+    "elementary_values(text)": (
+        lambda: crosscap.elementary_values("(2; 1,0; -2; 2,0)"),
+        DimensionMismatchError,
+        "expected DynnikovCoordinates",
+    ),
+    "elementary_values(v, ('C',))": (
+        lambda: crosscap.elementary_values(V, ("C",)),
+        InvalidParameterError,
+        "expected an ElementaryCurve",
+    ),
+    "elementary_values(v, 2.0)": (
+        lambda: crosscap.elementary_values(V, 2.0),
+        InvalidParameterError,
+        "expected a tuple of curves",
+    ),
+    "intersect_elementary(v, None)": (
+        lambda: crosscap.intersect_elementary(V, None),
+        InvalidParameterError,
+        "expected an ElementaryCurve",
+    ),
+    "count_crossings(gl, 'C')": (
+        lambda: crosscap.count_crossings(GL, "C"),
+        InvalidParameterError,
+        "expected an ElementaryCurve",
+    ),
+    "count_crossings(None, curve)": (
+        lambda: crosscap.count_crossings(None, C),
+        InvalidParameterError,
+        "expected a GluingDescription",
+    ),
+    "large_census(gl, 'x')": (
+        lambda: crosscap.large_census(GL, "x"), InvalidRangeError, "expected a RegionRange"
+    ),
+    "large_census(None, range)": (
+        lambda: crosscap.large_census(None, crosscap.RegionRange.punctures(1, 1)),
+        InvalidParameterError,
+        "expected a GluingDescription",
+    ),
+    "coordinatize(vector)": (
+        lambda: crosscap.coordinatize(V), DimensionMismatchError, "expected TriangleCoordinates"
+    ),
+    "catalog(2, 'yes')": (
+        lambda: crosscap.catalog(2, "yes"), InvalidParameterError, "include_nonprimitive"
+    ),
+    "catalog(2, 1)": (
+        lambda: crosscap.catalog(2, 1), InvalidParameterError, "include_nonprimitive"
+    ),
+}
+
+
+@pytest.mark.parametrize("door", sorted(DOORS))
+def test_wrong_kind_of_argument_raises_a_crosscap_error(door):
+    call, error, message = DOORS[door]
+    assert issubclass(error, CrosscapError)
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value).startswith(message)

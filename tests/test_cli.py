@@ -159,6 +159,12 @@ class TestErrors:
         assert code == 1
         assert err.startswith("crosscap: error:") and "missing key" in err
 
+    def test_json_file_unknown_key_exits_one(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        path.write_text(json.dumps({"n": 2, "a": [1], "b": [1, 0], "t": -2, "c1": 2}))
+        code, out, err = run(capsys, "invert", "--file", str(path), "--json")
+        assert (code, out, err) == (1, "", "crosscap: error: unknown key(s) c1\n")
+
     def test_malformed_json_file_exits_one(self, capsys, tmp_path):
         path = tmp_path / "v.json"
         path.write_text('{"n": 2, "a": [1], "b": [1, 0],')

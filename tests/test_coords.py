@@ -90,6 +90,14 @@ class TestDynnikovCoordinates:
         with pytest.raises(DimensionMismatchError, match="JSON object"):
             DynnikovCoordinates.from_dict([2, [1], [1, 0], 0])
 
+    def test_from_dict_rejects_unknown_keys(self):
+        # "c1" is not "c": read silently, it would leave c = (0, 0)
+        data = {"n": 2, "a": [1], "b": [1, 0], "t": -2, "c1": 2}
+        with pytest.raises(DimensionMismatchError, match=r"^unknown key\(s\) c1$"):
+            DynnikovCoordinates.from_dict(data)
+        with pytest.raises(DimensionMismatchError, match=r"^unknown key\(s\) alpha, 7$"):
+            DynnikovCoordinates.from_dict({"n": 2, "a": [1], "b": [1, 0], "t": -2, "alpha": [], 7: 0})
+
 
 class TestTextFormat:
     def test_worked_example_parses(self):
@@ -352,6 +360,8 @@ class TestTriangleCoordinates:
             TriangleCoordinates.from_dict(data)
         with pytest.raises(DimensionMismatchError, match="missing key.*gamma"):
             TriangleCoordinates.from_dict({k: v for k, v in data.items() if k != "gamma"})
+        with pytest.raises(DimensionMismatchError, match=r"^unknown key\(s\) t$"):
+            TriangleCoordinates.from_dict({**data, "gamma": 4, "t": 0})
 
     def test_non_integer_scalars_rejected(self):
         with pytest.raises(DimensionMismatchError, match="c2"):

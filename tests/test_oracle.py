@@ -388,6 +388,35 @@ class TestGrid:
         assert all(any(p.entries()) for p in pts)
         assert len(pts) == sum(1 for _ in grid_points(2, 1, 1))
 
+    @staticmethod
+    def brute_force_grid(n, bound, cmax):
+        """Every nonzero realizable vector of the box in grid order, by
+        ``itertools.product`` over the digits, most significant first:
+        ``a_{n-1}..a_1``, ``b_n..b_1``, ``t``, ``c1``, ``c2``."""
+        digits = range(-bound, bound + 1)
+        for *high, t, c1, c2 in itertools.product(
+            *[digits] * (2 * n), range(cmax + 1), range(cmax + 1)
+        ):
+            a, b = tuple(reversed(high[: n - 1])), tuple(reversed(high[n - 1 :]))
+            if not (any(a) or any(b) or t or c1 or c2):
+                continue
+            v = DynnikovCoordinates(n=n, a=a, b=b, t=t, c1=c1, c2=c2)
+            if realizable(v):
+                yield v
+
+    @pytest.mark.parametrize("n, bound, cmax", [(2, 0, 3), (2, 1, 0), (2, 1, 3), (3, 1, 1), (2, 2, 1)])
+    def test_grid_points_match_a_brute_force_filter(self, n, bound, cmax):
+        expected = list(self.brute_force_grid(n, bound, cmax))
+        assert list(grid_points(n, bound, cmax)) == expected
+        # chunks that cut through the blocks of (cmax + 1)^2 indices sharing
+        # one (a, b, t), as a parallel sweep's chunks do
+        total = grid_size(n, bound, cmax)
+        rng = random.Random(n * 100 + bound * 10 + cmax)
+        for _ in range(10):
+            cuts = sorted(rng.sample(range(1, total), min(7, total - 1)))
+            pieces = zip([0, *cuts], [*cuts, total])
+            assert [v for lo, hi in pieces for v in oracle._points(n, bound, cmax, range(lo, hi))] == expected
+
     def test_points_per_second(self):
         report = run_selftest(n=2, bound=1, jobs=1)
         assert report.points_per_second == report.points_checked / report.elapsed > 0
