@@ -30,9 +30,9 @@ from .intersect import (
     elementary_values,
     intersect_elementary,
 )
-from .inversion import InversionIntermediates, coordinatize, intermediates, invert, realizable
+from .inversion import coordinatize, invert, realizable
 from .large import LargeComponentCounts, RegionRange, counts_for_range
-from .oracle import build_diagram, count_crossings, large_census, run_selftest
+from .oracle import build_diagram, count_crossings, run_selftest
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,6 @@ __all__ = [
     "DynnikovCoordinates",
     "ElementaryCurve",
     "GluingDescription",
-    "InversionIntermediates",
     "LargeComponentCounts",
     "RegionRange",
     "TriangleCoordinates",
@@ -54,10 +53,8 @@ __all__ = [
     "elementary_values",
     "format_coords",
     "format_triangle",
-    "intermediates",
     "intersect_elementary",
     "invert",
-    "large_census",
     "parse_coords",
     "parse_triangle",
     "profile",

@@ -28,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coords import TriangleCoordinates, _species, _unchecked
-from .errors import EndpointMismatchError
+from .coords import TriangleCoordinates, _kind, _species, _unchecked
+from .errors import EndpointMismatchError, InvalidParameterError
 
 __all__ = [
     "ABOVE",
@@ -206,6 +206,7 @@ def profile(tri: TriangleCoordinates) -> ComponentProfile:
     table, and the profile is built unchecked, its ``regions`` stored with
     it.
     """
+    _kind(tri, TriangleCoordinates, "TriangleCoordinates")
     n, c1, c2 = tri.n, tri.c1, tri.c2
     regions = _species(n, tri.alpha, tri.beta, tri.gamma, c1, c2)
     above, below, _, _, loops, sides = zip(*regions[1:n])
@@ -334,6 +335,7 @@ def reconstruct(prof: ComponentProfile) -> GluingDescription:
     and every end is checked to start where the one above it stops, so
     the ends tile the arc's slots without a sort.
     """
+    _kind(prof, ComponentProfile, "a ComponentProfile", InvalidParameterError)
     n, sizes, regions = prof.n, prof.beta, prof.regions
     for arc, (left, right) in enumerate(_endpoint_totals(regions)):
         if left != sizes[arc] or right != sizes[arc]:

@@ -88,6 +88,13 @@ def _puncture_count(n) -> None:
         raise DimensionMismatchError(f"puncture count must be >= 2, got {n}")
 
 
+def _kind(value, cls: type, what: str, error: type = DimensionMismatchError):
+    """The check of every door that takes a library value: unless it is a
+    ``cls``, ``error("expected <what>, got <value>")``."""
+    if not isinstance(value, cls):
+        raise error(f"expected {what}, got {value!r}")
+
+
 # looked up once: a gluing builds a dozen values through _unchecked
 _new, _set = object.__new__, object.__setattr__
 
@@ -153,8 +160,7 @@ def _too_long(what: str) -> str:
 def _fields(data: dict, keys: tuple[str, ...]) -> list:
     """The JSON fields ``keys`` plus the two ``c`` entries (default zero).
     A key that is neither, such as ``c1``, is an error rather than ignored."""
-    if not isinstance(data, dict):
-        raise DimensionMismatchError(f"expected a JSON object, got {data!r}")
+    _kind(data, dict, "a JSON object")
     missing = [key for key in keys if key not in data]
     if missing:
         raise DimensionMismatchError(f"missing key(s) {', '.join(missing)}")
@@ -445,6 +451,7 @@ def parse_coords(text: str, n: int | None = None) -> DynnikovCoordinates:
 
 def format_coords(coords: DynnikovCoordinates) -> str:
     """Inverse of :func:`parse_coords`, producing the canonical spelling."""
+    _kind(coords, DynnikovCoordinates, "DynnikovCoordinates")
     a = ",".join(str(x) for x in coords.a)
     b = ",".join(str(x) for x in coords.b)
     return f"({a}; {b}; {coords.t}; {coords.c1},{coords.c2})"
@@ -474,6 +481,7 @@ def parse_triangle(text: str, n: int | None = None) -> TriangleCoordinates:
 
 
 def format_triangle(tri: TriangleCoordinates) -> str:
+    _kind(tri, TriangleCoordinates, "TriangleCoordinates")
     alpha = ",".join(str(x) for x in tri.alpha)
     beta = ",".join(str(x) for x in tri.beta)
     return f"({alpha}; {beta}; {tri.gamma}; {tri.c1},{tri.c2})"

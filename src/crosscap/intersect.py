@@ -28,11 +28,9 @@ from typing import NamedTuple
 
 from .components import ComponentProfile, profile
 from .coords import (
-    _ASCII_INT, DynnikovCoordinates, TriangleCoordinates, _ints, _puncture_count, _too_long
+    _ASCII_INT, DynnikovCoordinates, TriangleCoordinates, _ints, _kind, _puncture_count, _too_long
 )
-from .errors import (
-    DimensionMismatchError, InvalidParameterError, NonprimitiveContentError, UnsupportedCurveError
-)
+from .errors import InvalidParameterError, NonprimitiveContentError, UnsupportedCurveError
 from .inversion import invert
 from .large import _row
 
@@ -129,17 +127,10 @@ class ElementaryCurve:
             return f"{self.kind}:{self.j}"
         return self.kind
 
-    def check(self, n: int):
-        """Validate the parameters against the puncture count, after ``n``
-        itself as :func:`catalog` does."""
-        _puncture_count(n)
-        _band(self, n)
-
 
 def parse_curve(text: str) -> ElementaryCurve:
     """Parse ``"Cij:2,3"``, ``"Cprime1:1"``, ``"C"``, ``"D"``, ``"core:1"`` ..."""
-    if not isinstance(text, str):
-        raise InvalidParameterError(f"expected a curve spec, got {text!r}")
+    _kind(text, str, "a curve spec", InvalidParameterError)
     head, colon, tail = text.strip().partition(":")
 
     def indices(count: int, what: str) -> list[int]:
@@ -211,8 +202,9 @@ def elementary_coords(curve: ElementaryCurve, n: int) -> DynnikovCoordinates:
     """The ``(a; b; t; c1, c2)`` vector of an elementary curve: ``b`` is
     ``-1`` on the arc left of its band and ``+1`` on the arc right of it,
     where those are among ``beta_1..beta_n``.  ``n`` is checked as
-    :func:`catalog` checks it."""
+    :func:`catalog` checks it, then the curve's indices against ``n``."""
     _puncture_count(n)
+    _kind(curve, ElementaryCurve, "an ElementaryCurve", InvalidParameterError)
     b = [0] * n
     c1 = c2 = 0
     if curve.nonprimitive:
@@ -249,8 +241,7 @@ def _layout(curves: tuple[ElementaryCurve, ...], n: int) -> _Layout:
     non-primitive or with an index past ``n``, raises."""
     bands = []
     for curve in curves:
-        if not isinstance(curve, ElementaryCurve):
-            raise InvalidParameterError(f"expected an ElementaryCurve, got {curve!r}")
+        _kind(curve, ElementaryCurve, "an ElementaryCurve", InvalidParameterError)
         if curve.nonprimitive:
             raise UnsupportedCurveError(
                 f"no intersection formula for non-primitive curve {curve.label()}"
@@ -281,8 +272,7 @@ def _checked(
     """The curves the formulas evaluate on ``coords`` (default: the full
     in-scope catalog) and their layout, after rejecting what the formulas
     do not cover."""
-    if not isinstance(coords, DynnikovCoordinates):
-        raise DimensionMismatchError(f"expected DynnikovCoordinates, got {coords!r}")
+    _kind(coords, DynnikovCoordinates, "DynnikovCoordinates")
     if coords.c1 < 0 or coords.c2 < 0:
         raise NonprimitiveContentError(
             "multicurve carries whole non-primitive components "

@@ -13,14 +13,10 @@ straight-core count ``max(c1^+ - |b_n|, 0)`` forced at the first crosscap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .coords import DynnikovCoordinates, TriangleCoordinates, _kind, _straight_cores, _unchecked
+from .errors import InconsistentTriangleError, UnrealizableCoordinatesError, ZeroVectorError
 
-from .coords import DynnikovCoordinates, TriangleCoordinates, _straight_cores, _unchecked
-from .errors import (
-    DimensionMismatchError, InconsistentTriangleError, UnrealizableCoordinatesError, ZeroVectorError
-)
-
-__all__ = ["InversionIntermediates", "intermediates", "invert", "coordinatize", "realizable"]
+__all__ = ["invert", "coordinatize", "realizable"]
 
 
 def realizable(coords: DynnikovCoordinates) -> bool:
@@ -31,35 +27,15 @@ def realizable(coords: DynnikovCoordinates) -> bool:
     vector failing the parity, the would-be arc crossing counts come out
     odd, which no collection of paired-up strands can produce.
     """
+    _kind(coords, DynnikovCoordinates, "DynnikovCoordinates")
     return (coords.t + _straight_cores(coords.c1, coords.b[-1])) % 2 == 0
 
 
-@dataclass(frozen=True)
-class InversionIntermediates:
-    """The max-plus scaffolding behind :func:`invert`.
-
-    ``x`` dominates when the widest point of the curve sits over a puncture,
-    ``y`` when it sits at the first crosscap.  ``beta_star`` is the raw
-    profile of vertical crossing counts before the second-crosscap
-    correction ``r`` (which makes room for ``c2`` core crossings).
-    """
-
-    x: int
-    y: int
-    beta_star: tuple[int, ...]
-    r: int
-
-
-def intermediates(coords: DynnikovCoordinates) -> InversionIntermediates:
-    """Compute ``x``, ``y``, ``beta_star`` and ``r`` for ``coords``."""
-    _, x, y, r, beta, _ = _solve(coords)
-    return InversionIntermediates(x=x, y=y, beta_star=tuple(bk - r for bk in beta), r=r)
-
-
-def _solve(coords: DynnikovCoordinates) -> tuple[int, int, int, int, list[int], list[int]]:
-    """``(psi, x, y, r, beta, alpha)`` for ``coords``: the straight-core
-    count, the two candidates for ``beta*_1``, the second-crosscap shift and
-    the crossing counts ``beta = beta_star + r`` and ``alpha``.
+def _solve(coords: DynnikovCoordinates) -> tuple[int, list[int], list[int]]:
+    """``(psi, beta, alpha)`` for ``coords``: the straight-core count and
+    the crossing counts ``beta = beta_star + r`` and ``alpha``, where
+    ``beta_star`` falls from ``max(x, y)``, the larger of the two candidates
+    for ``beta*_1``, and ``r`` is the second-crosscap shift.
 
     One pass over the punctures finds ``x``; a second lays out ``beta``
     from ``beta_1`` down, ``beta_{i+1} = beta_i - 2 b_i``, and each
@@ -101,7 +77,7 @@ def _solve(coords: DynnikovCoordinates) -> tuple[int, int, int, int, list[int], 
         top -= 2 * bk
         beta.append(top)
     beta.append(top - 2 * bn)
-    return psi, x, y, r, beta, alpha
+    return psi, beta, alpha
 
 
 def invert(coords: DynnikovCoordinates) -> TriangleCoordinates:
@@ -113,7 +89,8 @@ def invert(coords: DynnikovCoordinates) -> TriangleCoordinates:
     :class:`TriangleCoordinates` invariants, so the result is built
     unchecked (the tests construct it through the checks).
     """
-    psi, _, _, _, beta, alpha = _solve(coords)
+    _kind(coords, DynnikovCoordinates, "DynnikovCoordinates")
+    psi, beta, alpha = _solve(coords)
     t = coords.t
     if (t + psi) % 2:
         raise UnrealizableCoordinatesError(
@@ -145,8 +122,7 @@ def coordinatize(tri: TriangleCoordinates) -> DynnikovCoordinates:
     :class:`InconsistentTriangleError` for other counts that no multicurve
     has: those the vector does not invert back to.
     """
-    if not isinstance(tri, TriangleCoordinates):
-        raise DimensionMismatchError(f"expected TriangleCoordinates, got {tri!r}")
+    _kind(tri, TriangleCoordinates, "TriangleCoordinates")
     n = tri.n
     b = tri.half_differences()
     a = tuple(

@@ -43,8 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .components import ComponentProfile
-from .coords import _ints
-from .errors import InvalidRangeError
+from .coords import _ints, _kind
+from .errors import InvalidParameterError, InvalidRangeError
 
 __all__ = [
     "RegionRange",
@@ -82,17 +82,19 @@ class RegionRange:
     def through_second(cls, l: int) -> "RegionRange":
         return cls(l=l, crosscap=2)
 
-    def check(self, n: int):
-        if self.crosscap == 0:
-            if self.m > n - 1:
-                raise InvalidRangeError(f"S_(l,m) needs m <= {n - 1}, got m={self.m}")
-        elif self.l > n:
-            raise InvalidRangeError(f"lower index must be <= {n}, got {self.l}")
 
-
-def _span(rng: RegionRange, n: int) -> tuple[int, int]:
-    """First and last region of a range (``n``/``n+1``: the crosscaps)."""
-    return rng.l, rng.m if rng.crosscap == 0 else n - 1 + rng.crosscap
+def _band(rng: RegionRange, n: int) -> tuple[int, int]:
+    """First and last region of a range (``n``/``n+1``: the crosscaps),
+    the counterpart of :func:`crosscap.intersect._band`.  Raises
+    :class:`InvalidRangeError` for a range past ``n``."""
+    _kind(rng, RegionRange, "a RegionRange", InvalidRangeError)
+    if rng.crosscap:
+        if rng.l > n:
+            raise InvalidRangeError(f"lower index must be <= {n}, got {rng.l}")
+        return rng.l, n - 1 + rng.crosscap
+    if rng.m > n - 1:
+        raise InvalidRangeError(f"S_(l,m) needs m <= {n - 1}, got m={rng.m}")
+    return rng.l, rng.m
 
 
 @dataclass(frozen=True)
@@ -162,8 +164,8 @@ def _row(p: ComponentProfile, firsts: tuple[int, ...], last: int | None = None) 
 
 def counts_for_range(p: ComponentProfile, rng: RegionRange) -> LargeComponentCounts:
     """All large counts of one range."""
-    rng.check(p.n)
-    first, last = _span(rng, p.n)
+    _kind(p, ComponentProfile, "a ComponentProfile", InvalidParameterError)
+    first, last = _band(rng, p.n)
     over, under, right, left = _row(p, (first,), last)[1]
     if rng.crosscap == 2:
         return LargeComponentCounts(over=None, under=None, right_loops=right, left_loops=None)

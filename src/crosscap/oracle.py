@@ -50,19 +50,15 @@ from .components import (
     reconstruct,
 )
 from .coords import (
-    DynnikovCoordinates, _ints, _puncture_count, _straight_cores, _unchecked, format_coords
+    DynnikovCoordinates, _ints, _kind, _puncture_count, _straight_cores, _unchecked, format_coords
 )
-from .errors import (
-    InvalidParameterError, InvalidRangeError, NonprimitiveContentError, UnsupportedCurveError
-)
+from .errors import InvalidParameterError, NonprimitiveContentError, UnsupportedCurveError
 from .intersect import ElementaryCurve, _band, _checked, _formula_values
 from .inversion import invert
-from .large import RegionRange, _span
 
 __all__ = [
     "build_diagram",
     "count_crossings",
-    "large_census",
     "Divergence",
     "SelftestReport",
     "grid_size",
@@ -199,12 +195,6 @@ def _traced_values(gl: GluingDescription, bands: tuple, d_at: tuple[int, ...]) -
     return out
 
 
-def _diagram(gl) -> None:
-    """The check of every door that takes a diagram."""
-    if not isinstance(gl, GluingDescription):
-        raise InvalidParameterError(f"expected a GluingDescription, got {gl!r}")
-
-
 def count_crossings(gl: GluingDescription, curve: ElementaryCurve) -> int:
     """Crossings of the diagram's multicurve with one elementary curve,
     counted by walking strands.  Where ``c1, c2 >= 0`` it agrees with
@@ -215,26 +205,14 @@ def count_crossings(gl: GluingDescription, curve: ElementaryCurve) -> int:
     :class:`NonprimitiveContentError`; ``core`` and ``bounding`` curves
     raise :class:`UnsupportedCurveError` on every diagram.
     """
-    _diagram(gl)
-    if not isinstance(curve, ElementaryCurve):
-        raise InvalidParameterError(f"expected an ElementaryCurve, got {curve!r}")
+    _kind(gl, GluingDescription, "a GluingDescription", InvalidParameterError)
+    _kind(curve, ElementaryCurve, "an ElementaryCurve", InvalidParameterError)
     if curve.nonprimitive:
         raise UnsupportedCurveError(
             f"no crossing rule for non-primitive curve {curve.label()}"
         )
     crossings = _band_counts(gl, *_band(curve, gl.n))[4]
     return _d_value(gl, crossings) if curve.kind == "D" else crossings
-
-
-def large_census(gl: GluingDescription, rng: RegionRange) -> tuple[int, int, int, int]:
-    """Large components of a range, counted by tracing instead of formulas:
-    ``(over, under, right_loops, left_loops)``, read off the rows traced
-    from the range's boundary arcs."""
-    _diagram(gl)
-    if not isinstance(rng, RegionRange):
-        raise InvalidRangeError(f"expected a RegionRange, got {rng!r}")
-    rng.check(gl.n)
-    return _band_counts(gl, *_span(rng, gl.n))[:4]
 
 
 # ---------------------------------------------------------------------------

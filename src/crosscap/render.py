@@ -24,7 +24,7 @@ from .components import (
     STRAIGHT_CORE,
     GluingDescription,
 )
-from .coords import _ints
+from .coords import _ints, _kind
 from .errors import InvalidParameterError
 
 __all__ = ["RenderSpec", "render_svg"]
@@ -106,9 +106,13 @@ class _Canvas:
 
 
 def render_svg(gl: GluingDescription, spec: RenderSpec | None = None) -> str:
-    """One SVG 1.1 document for the glued diagram; ``InvalidParameterError``
-    when its coordinates do not fit a float."""
-    spec = spec or RenderSpec()
+    """One SVG 1.1 document for the glued diagram (``spec`` defaults to
+    ``RenderSpec()``); ``InvalidParameterError`` for another kind of
+    argument or when its coordinates do not fit a float."""
+    _kind(gl, GluingDescription, "a GluingDescription", InvalidParameterError)
+    if spec is None:
+        spec = RenderSpec()
+    _kind(spec, RenderSpec, "a RenderSpec", InvalidParameterError)
     n = gl.n
     sp, gap, rad = spec.spacing, _SLOT_GAP, _MARKER_RADIUS
 

@@ -16,6 +16,7 @@ from crosscap.errors import (
     InvalidRangeError,
 )
 from crosscap.intersect import parse_curve
+from crosscap.render import render_svg
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(crosscap.__path__))
 
@@ -40,9 +41,11 @@ def test_module_exports_resolve_and_star_import(name):
 
 # Each public door fed a wrong kind of argument, and the CrosscapError it
 # raises: (call, error, start of the message).  The checks sit in the public
-# functions, not in per-curve helpers such as ``intersect._band``.
+# functions, not in per-curve helpers such as ``intersect._band``; a range's
+# kind is checked where its band is read, in ``large._band``.
 V = crosscap.parse_coords("(2; 1,0; -2; 2,0)")
-GL = crosscap.reconstruct(crosscap.profile(crosscap.invert(V)))
+P = crosscap.profile(crosscap.invert(V))
+GL = crosscap.reconstruct(P)
 C = crosscap.ElementaryCurve.C()
 DOORS = {
     "parse_coords(None)": (
@@ -99,13 +102,44 @@ DOORS = {
         InvalidParameterError,
         "expected a GluingDescription",
     ),
-    "large_census(gl, 'x')": (
-        lambda: crosscap.large_census(GL, "x"), InvalidRangeError, "expected a RegionRange"
+    "counts_for_range(p, 'x')": (
+        lambda: crosscap.counts_for_range(P, "x"), InvalidRangeError, "expected a RegionRange"
     ),
-    "large_census(None, range)": (
-        lambda: crosscap.large_census(None, crosscap.RegionRange.punctures(1, 1)),
+    "counts_for_range(None, range)": (
+        lambda: crosscap.counts_for_range(None, crosscap.RegionRange.punctures(1, 1)),
         InvalidParameterError,
-        "expected a GluingDescription",
+        "expected a ComponentProfile",
+    ),
+    "invert(None)": (
+        lambda: crosscap.invert(None), DimensionMismatchError, "expected DynnikovCoordinates"
+    ),
+    "realizable(None)": (
+        lambda: crosscap.realizable(None), DimensionMismatchError, "expected DynnikovCoordinates"
+    ),
+    "profile(vector)": (
+        lambda: crosscap.profile(V), DimensionMismatchError, "expected TriangleCoordinates"
+    ),
+    "reconstruct('x')": (
+        lambda: crosscap.reconstruct("x"), InvalidParameterError, "expected a ComponentProfile"
+    ),
+    "elementary_coords('C', 2)": (
+        lambda: crosscap.elementary_coords("C", 2),
+        InvalidParameterError,
+        "expected an ElementaryCurve",
+    ),
+    "render_svg(None)": (
+        lambda: render_svg(None), InvalidParameterError, "expected a GluingDescription"
+    ),
+    "render_svg(gl, {})": (
+        lambda: render_svg(GL, {}), InvalidParameterError, "expected a RenderSpec"
+    ),
+    "format_coords(None)": (
+        lambda: crosscap.format_coords(None), DimensionMismatchError, "expected DynnikovCoordinates"
+    ),
+    "format_triangle(vector)": (
+        lambda: crosscap.format_triangle(V),
+        DimensionMismatchError,
+        "expected TriangleCoordinates",
     ),
     "coordinatize(vector)": (
         lambda: crosscap.coordinatize(V), DimensionMismatchError, "expected TriangleCoordinates"

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from crosscap import intersect, large
 from crosscap.coords import DynnikovCoordinates, parse_coords
 from crosscap.errors import (
     DimensionMismatchError,
@@ -100,13 +101,12 @@ class TestCatalog:
 
     @pytest.mark.parametrize("n, message", BAD_N)
     def test_curve_doors_check_n_as_catalog_does(self, n, message):
-        # check() and elementary_coords() used to return silently on 2.5 or
-        # 1, or fail with a bare TypeError on 2.0 and "2"
+        # elementary_coords() used to return silently on 2.5 or 1, or fail
+        # with a bare TypeError on 2.0 and "2"
         for curve in (ElementaryCurve.Cij(1, 2), ElementaryCurve.C(), ElementaryCurve.core(1)):
-            for door in (lambda: curve.check(n), lambda: elementary_coords(curve, n)):
-                with pytest.raises(DimensionMismatchError) as err:
-                    door()
-                assert str(err.value) == message
+            with pytest.raises(DimensionMismatchError) as err:
+                elementary_coords(curve, n)
+            assert str(err.value) == message
 
 
 class TestParseCurve:
@@ -299,8 +299,8 @@ class TestErrors:
         with pytest.raises(UnsupportedCurveError, match="^no crossing rule for"):
             count_crossings(gl, core)
         with pytest.raises(InvalidParameterError, match=r"^C_\(i,j\) needs j <= 2, got j=9$"):
-            far.check(2)
-        assert core.check(2) is None
+            elementary_coords(far, 2)
+        assert elementary_coords(core, 2).c1 == -1
 
     @pytest.mark.parametrize(
         "curve, message",
@@ -314,7 +314,6 @@ class TestErrors:
         v = parse_coords("(2; 1,0; -2; 2,0)")
         gl = build_diagram(profile(invert(v)))
         for door in (
-            lambda: curve.check(2),
             lambda: elementary_coords(curve, 2),
             lambda: elementary_values(v, (curve,)),
             lambda: count_crossings(gl, curve),
@@ -437,8 +436,9 @@ class TestPaperRanges:
                 if curve.kind == "D":
                     continue
                 rng = paper_range(curve, n)
+                assert large._band(rng, n) == intersect._band(curve, n), curve
                 left = tri.beta[rng.l - 1] if rng.l else 0
                 right = (tri.beta[rng.m], tri.beta[n], 0)[rng.crosscap]
                 c = counts_for_range(p, rng)
-                large = (c.over or 0) + (c.under or 0) + c.right_loops + (c.left_loops or 0)
-                assert value == left + right - 2 * large, (v, curve)
+                cleared = (c.over or 0) + (c.under or 0) + c.right_loops + (c.left_loops or 0)
+                assert value == left + right - 2 * cleared, (v, curve)

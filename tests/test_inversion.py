@@ -14,7 +14,8 @@ from crosscap.errors import (
     UnrealizableCoordinatesError,
     ZeroVectorError,
 )
-from crosscap.inversion import coordinatize, intermediates, invert, realizable
+from crosscap.inversion import coordinatize, invert, realizable
+from paper_forms import max_plus_intermediates
 
 
 def vec(n, a, b, t, c1, c2):
@@ -58,20 +59,19 @@ class TestInvert:
         assert tri.gamma == 2
 
     def test_intermediates_of_worked_example(self):
-        inter = intermediates(parse_coords("(2; 1,0; -2; 2,0)"))
-        assert inter.x == 6
-        assert inter.y == 6
-        assert inter.beta_star == (6, 4, 4)
-        assert inter.r == 0
+        # x = y = 6, beta* = (6, 4, 4), r = 0: invert's beta is beta* + r
+        v = parse_coords("(2; 1,0; -2; 2,0)")
+        assert max_plus_intermediates(v) == (6, 6, (6, 4, 4), 0)
+        assert invert(v).beta == (6, 4, 4)
 
     def test_second_crosscap_shift_is_minimal(self):
         # m core loops at the second crosscap force beta_{n+1} = 2m exactly;
         # more would pad the curve with boundary-parallel components.
-        tri = invert(vec(2, [0], [0, 0], 0, 0, 3))
-        assert tri.beta == (6, 6, 6)
-        inter = intermediates(vec(2, [0], [0, 0], 0, 0, 3))
-        assert inter.beta_star == (0, 0, 0)
-        assert inter.r == 6
+        v = vec(2, [0], [0, 0], 0, 0, 3)
+        assert invert(v).beta == (6, 6, 6)
+        _, _, beta_star, r = max_plus_intermediates(v)
+        assert beta_star == (0, 0, 0)
+        assert r == 6
 
     def test_nonprimitive_core_passes_through(self):
         tri = invert(vec(2, [0], [0, 0], 0, -1, 0))

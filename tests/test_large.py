@@ -10,8 +10,8 @@ from crosscap.components import ComponentProfile, NonprimitiveCurves, profile
 from crosscap.coords import DynnikovCoordinates, TriangleCoordinates
 from crosscap.errors import InvalidRangeError
 from crosscap.inversion import invert, realizable
-from crosscap.large import RegionRange, _row, counts_for_range
-from crosscap.oracle import build_diagram, large_census
+from crosscap.large import RegionRange, _band, _row, counts_for_range
+from crosscap.oracle import _band_counts, build_diagram
 
 
 def over_under(p, rng):
@@ -34,6 +34,12 @@ def all_ranges(n):
         + [RegionRange.through_first(l) for l in range(n + 1)]
         + [RegionRange.through_second(l) for l in range(n + 1)]
     )
+
+
+def traced_census(gl, rng):
+    """``(over, under, right_loops, left_loops)`` of a range, counted by the
+    oracle's tracer on the diagram ``gl``."""
+    return _band_counts(gl, *_band(rng, gl.n))[:4]
 
 
 def fresh_min_counts(p, rng):
@@ -95,8 +101,10 @@ class TestOverUnder:
         assert over_under(EX2, RegionRange.punctures(1, 1)) == (2, 0)
 
     def test_range_errors(self):
-        with pytest.raises(InvalidRangeError):
+        with pytest.raises(InvalidRangeError, match=r"^S_\(l,m\) needs m <= 1, got m=5$"):
             counts_for_range(EX1, RegionRange.punctures(1, 5))
+        with pytest.raises(InvalidRangeError, match="^lower index must be <= 2, got 3$"):
+            counts_for_range(EX1, RegionRange.through_first(3))
         with pytest.raises(InvalidRangeError):
             RegionRange.punctures(2, 1)
         with pytest.raises(InvalidRangeError):
@@ -294,7 +302,7 @@ class TestAgainstTracing:
             p = profile(invert(v))
             dg = build_diagram(p)
             for rng in all_ranges(v.n):
-                over, under, right, left = large_census(dg, rng)
+                over, under, right, left = traced_census(dg, rng)
                 bundle = counts_for_range(p, rng)
                 if bundle.over is not None:
                     assert (over, under) == (bundle.over, bundle.under), (v, rng)

@@ -34,7 +34,7 @@ from crosscap.intersect import (
     intersect_elementary,
 )
 from crosscap.inversion import invert, realizable
-from crosscap.large import _span
+from crosscap.large import _band
 from crosscap.oracle import (
     _band_counts,
     _row,
@@ -45,13 +45,12 @@ from crosscap.oracle import (
     grid_points,
     grid_size,
     SelftestReport,
-    large_census,
     run_selftest,
 )
 from crosscap.render import RenderSpec, render_svg
 from slot_trace import NEGATIVE_C, closed_components, gluing_dict, links, sample_vectors, slot_census
 from test_components import GOLDEN, GOLDEN_VECTORS
-from test_large import all_ranges
+from test_large import all_ranges, traced_census
 
 EX1 = TriangleCoordinates(n=2, alpha=(1, 5), beta=(6, 4, 4), gamma=4, c1=2, c2=0)
 EX2 = TriangleCoordinates(n=2, alpha=(3, 1), beta=(4, 2, 2), gamma=4, c1=1, c2=1)
@@ -189,7 +188,7 @@ class TestIntervalTracing:
         for v in sample_vectors():
             gl = build_diagram(profile(invert(v)))
             for rng in all_ranges(v.n):
-                band = _span(rng, v.n)
+                band = _band(rng, v.n)
                 ref = slot_census(gl, *band)
                 assert _band_counts(gl, *band) == (
                     ref["over"], ref["under"], ref["right"], ref["left"], 2 * ref[None]
@@ -237,7 +236,7 @@ def trace_everything(gl):
     for curve in catalog(gl.n):
         count_crossings(gl, curve)
     for rng in all_ranges(gl.n):
-        large_census(gl, rng)
+        traced_census(gl, rng)
     layout = _catalog_layout(gl.n)
     return _traced_values(gl, layout.bands, layout.d_at)
 
@@ -270,9 +269,9 @@ class TestRowMemo:
                 assert trace_everything(gl) == fresh, v
             else:  # no catalog values: the ranges alone fill the rows
                 for rng in all_ranges(v.n):
-                    large_census(gl, rng)
+                    traced_census(gl, rng)
             for rng in all_ranges(v.n):
-                band = _span(rng, v.n)
+                band = _band(rng, v.n)
                 ref = slot_census(gl, *band)
                 assert _band_counts(gl, *band) == (
                     ref["over"], ref["under"], ref["right"], ref["left"], 2 * ref[None]
@@ -286,7 +285,7 @@ class TestRowMemo:
             gl = build_diagram(profile(invert(parse_coords(text))))
             before = (hash(gl), repr(gl), gluing_dict(gl))
             for rng in all_ranges(gl.n):
-                large_census(gl, rng)
+                traced_census(gl, rng)
             assert gl._rows
             assert gl == build_diagram(profile(invert(parse_coords(text))))
             assert (hash(gl), repr(gl), gluing_dict(gl)) == before
@@ -348,7 +347,7 @@ class TestEqualSpecies:
             twin = equal_species(gl)
             assert twin == gl
             for rng in all_ranges(v.n):
-                assert large_census(twin, rng) == large_census(gl, rng), (v, rng)
+                assert traced_census(twin, rng) == traced_census(gl, rng), (v, rng)
             if v.c1 >= 0 and v.c2 >= 0:
                 for curve in catalog(v.n):
                     assert count_crossings(twin, curve) == count_crossings(gl, curve), (v, curve)

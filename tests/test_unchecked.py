@@ -17,10 +17,9 @@ import pytest
 from crosscap.components import Bundle, ComponentProfile, GluingDescription, profile, reconstruct
 from crosscap.coords import DynnikovCoordinates, TriangleCoordinates, parse_coords
 from crosscap.errors import ParityViolationError, UnrealizableCoordinatesError, ZeroVectorError
-from crosscap.intersect import catalog
-from crosscap.inversion import InversionIntermediates, coordinatize, intermediates, invert, realizable
-from crosscap.large import RegionRange
-from crosscap.oracle import count_crossings, grid_points, large_census
+from crosscap.intersect import ElementaryCurve, catalog
+from crosscap.inversion import coordinatize, invert, realizable
+from crosscap.oracle import count_crossings, grid_points
 from paper_forms import max_plus_intermediates
 
 BOUND = 3
@@ -157,15 +156,14 @@ class TestAgainstPublicConstructors:
 
 
 class TestInvertAgainstIntermediates:
-    """``invert`` and ``intermediates`` share one pass; both are held to the
-    max-plus forms computed term by term (``paper_forms``)."""
+    """``invert`` lays ``beta`` out in one pass; it is held to ``beta* + r``
+    from the max-plus forms computed term by term (``paper_forms``)."""
 
     @staticmethod
     def check(v):
-        inter = intermediates(v)
-        assert inter == InversionIntermediates(*max_plus_intermediates(v)), v
+        _, _, beta_star, r = max_plus_intermediates(v)
         tri = invert(v)
-        assert tri.beta == tuple(b + inter.r for b in inter.beta_star), v
+        assert tri.beta == tuple(b + r for b in beta_star), v
         assert TriangleCoordinates(**vars(tri)) == tri, v
 
     @pytest.mark.parametrize(
@@ -240,7 +238,7 @@ class TestIndistinguishable:
         assert vars(gl)["_rows"] == {}
         bare = GluingDescription(**fields(gl))
         assert "_rows" not in vars(bare)
-        large_census(gl, RegionRange.through_first(1))
+        count_crossings(gl, ElementaryCurve.C())
         assert gl._rows and not bare._rows
         for obj, other in ((prof, checked), (gl, bare)):
             assert obj == other and hash(obj) == hash(other)
