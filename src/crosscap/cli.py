@@ -330,33 +330,55 @@ _COMMANDS = (
 _NAMES = tuple(row[0] for row in _COMMANDS)
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
+def _argv(argv) -> list[str]:
+    """The arguments to parse: ``sys.argv[1:]`` for ``None``, else
+    ``argv``, which must be an iterable of strings."""
+    if argv is None:
+        return sys.argv[1:]
+    try:
+        args = list(argv)
+    except TypeError:  # not iterable
+        args = None
+    if args is None or not all(isinstance(arg, str) for arg in args):
+        raise InvalidParameterError(f"expected argv as a list of strings, got {argv!r}")
+    return args
+
+
+def _parser(argv: list[str]) -> _Parser:
+    """The top-level parser.  Every subcommand is listed in its usage and
+    help, but only the one argparse dispatches to gets a parser: the first
+    element of ``argv`` that names one (the top-level parser has no option
+    that takes a value).  Any other ``argv`` fails before dispatch: no
+    command, an invalid choice or a help flag."""
     parser = _Parser(
         prog="crosscap",
         description="Multicurve coordinates and intersection numbers on a "
         "punctured non-orientable genus-2 surface.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    # Every subcommand is listed in usage and help, but only the one argparse
-    # dispatches to gets its arguments: the first element of argv that names
-    # one (the top-level parser has no option that takes a value).
     invoked = next((arg for arg in argv if arg in _NAMES), None)
+    wanted = f"{parser.prog} {invoked}"  # the prog add_parser gives its parser
+    sub = parser.add_subparsers(
+        prog=parser.prog,  # argparse would format a usage line to find it
+        dest="command",
+        required=True,
+        parser_class=lambda **kwargs: _Parser(**kwargs) if kwargs["prog"] == wanted else None,
+    )
     for name, help_line, add_arguments, handler in _COMMANDS:
         p = sub.add_parser(name, help=help_line)
-        if name == invoked:
+        if p is not None:
             add_arguments(p)
             p.set_defaults(fn=handler)
+    return parser
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        argv = _argv(argv)
+        args = _parser(argv).parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:  # argparse help/usage paths
         return int(exc.code or 0)
-    try:
-        return args.fn(args)
-    except CrosscapError as exc:
-        print(f"crosscap: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CrosscapError, OSError) as exc:
         print(f"crosscap: error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,6 +3,7 @@ star-imports, and every door turns a wrong kind of argument into a
 :class:`CrosscapError`."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -160,3 +161,109 @@ def test_wrong_kind_of_argument_raises_a_crosscap_error(door):
     with pytest.raises(error) as info:
         call()
     assert str(info.value).startswith(message)
+
+
+# The walk over every public function: each parameter in turn gets each
+# value of MENU, the other required parameters a value of VALID, and the
+# call must raise a CrosscapError (``cli.main``: exit 1 with one
+# ``crosscap: error:`` line).  EXEMPT lists the menu values a parameter
+# takes as valid, with the reason.
+MENU = {
+    "None": None,
+    "bytes": b"x",
+    "float": 2.0,
+    "bool": True,
+    "str": "x",
+    "list": [],
+    "vector": V,
+}
+VALID = {
+    "argv": ["invert", "(2; 1,0; -2; 2,0)"],
+    "coords": V,
+    "tri": crosscap.invert(V),
+    "prof": P,
+    "p": P,
+    "gl": GL,
+    "curve": C,
+    "rng": crosscap.RegionRange.punctures(1, 1),
+    "n": 2,
+    "bound": 1,
+    "cmax": 1,
+}
+TEXT = {  # the valid ``text`` of each parser
+    "parse_coords": "(2; 1,0; -2; 2,0)",
+    "parse_triangle": "(1,5; 6,4,4; 4; 2,0)",
+    "parse_curve": "C",
+}
+EXEMPT = {
+    ("main", "argv", "None"): "reads sys.argv, here pytest's own",
+    ("parse_coords", "n", "None"): "the default: no cross-check of n",
+    ("parse_triangle", "n", "None"): "the default: no cross-check of n",
+    ("catalog", "include_nonprimitive", "bool"): "True is a valid flag",
+    ("elementary_values", "curves", "None"): "the default: the whole catalog",
+    ("elementary_values", "curves", "list"): "no curves to evaluate: an empty result",
+    ("render_svg", "spec", "None"): "the default spec",
+    ("run_selftest", "cmax", "None"): "the default (cmax = bound) starts a bound-2 sweep",
+    **{
+        (name, "coords", "vector"): "a DynnikovCoordinates is the kind it takes"
+        for name in (
+            "format_coords",
+            "intersect_elementary",
+            "elementary_values",
+            "invert",
+            "realizable",
+        )
+    },
+}
+
+
+def public_functions():
+    for module_name in MODULES:
+        module = importlib.import_module(f"crosscap.{module_name}")
+        for name in getattr(module, "__all__", ()):
+            if inspect.isfunction(obj := getattr(module, name)):
+                yield name, obj
+
+
+FUNCTIONS = dict(public_functions())
+
+
+def walk_calls(name):
+    """``(parameter, menu key, keyword arguments)`` for every walk call of
+    the function ``name`` that EXEMPT does not list."""
+    params = inspect.signature(FUNCTIONS[name]).parameters
+    required = [q for q, par in params.items() if par.default is inspect.Parameter.empty]
+    for param in params:
+        for key, value in MENU.items():
+            if (name, param, key) not in EXEMPT:
+                kwargs = {q: TEXT[name] if q == "text" else VALID[q] for q in required}
+                yield param, key, {**kwargs, param: value}
+
+
+def one_error_line(err: str) -> bool:
+    """argparse's usage lines, if any, then one ``crosscap: error:`` line."""
+    lines = err.splitlines()
+    return bool(lines) and lines[-1].startswith("crosscap: error: ") and (
+        sum("error:" in line for line in lines) == 1
+    )
+
+
+def test_walk_finds_every_function():
+    assert {"main", "invert", "profile", "run_selftest", "render_svg"} <= set(FUNCTIONS)
+    signatures = {name: inspect.signature(fn).parameters for name, fn in FUNCTIONS.items()}
+    assert all(param in signatures.get(name, ()) for name, param, _ in EXEMPT)
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_every_wrong_kind_is_a_crosscap_error(name, capsys):
+    escaped = []
+    for param, key, kwargs in walk_calls(name):
+        try:
+            result = FUNCTIONS[name](**kwargs)
+        except CrosscapError:
+            continue
+        except Exception as exc:
+            result = exc
+        if not (name == "main" and result == 1 and one_error_line(capsys.readouterr().err)):
+            escaped.append((param, key, repr(result)))
+    assert escaped == []

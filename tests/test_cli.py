@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from crosscap import oracle
+from crosscap import cli, oracle
 from crosscap.cli import main
 from crosscap.coords import parse_coords
 from crosscap.oracle import SelftestReport
@@ -212,6 +212,62 @@ class TestErrors:
         )
         assert code == 0
         assert sorted(json.loads(out)["large"]) == ["S'_(2,1)", "S'_(2,2)"]
+
+
+class TestArgv:
+    """``main`` takes ``None`` (``sys.argv``) or an iterable of strings;
+    any other argv is an input error: one line, exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv", [b"x", 2.0, True, parse_coords("(2; 1,0; -2; 2,0)"), ["invert", 2], [b"invert"]]
+    )
+    def test_wrong_kind_of_argv_exits_one(self, capsys, argv):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == f"crosscap: error: expected argv as a list of strings, got {argv!r}\n"
+
+    def test_a_string_is_one_argument_per_character(self, capsys):
+        code = main("invert")
+        _, err = capsys.readouterr()
+        assert code == 1
+        last = err.splitlines()[-1]
+        assert last.startswith("crosscap: error: argument command: invalid choice: 'i'")
+
+    def test_any_iterable_of_strings(self, capsys):
+        assert main(iter(["coordinatize", "(1,5; 6,4,4; 4; 2,0)"])) == 0
+        assert capsys.readouterr().out == "(2; 1,0; -2; 2,0)\n"
+
+
+class TestParsersBuilt:
+    """``main`` builds the top-level parser and one for the invoked
+    subcommand, none for the others."""
+
+    @pytest.mark.parametrize(
+        "argv, progs",
+        [
+            ([name, *flag], ["crosscap", f"crosscap {name}"])
+            for name in cli._NAMES
+            for flag in (["--n", "x"], ["--help"])  # a bad --n fails before any work
+        ]
+        + [
+            (["-h", "invert"], ["crosscap", "crosscap invert"]),
+            ([], ["crosscap"]),
+            (["--help"], ["crosscap"]),
+            (["bogus"], ["crosscap"]),
+        ],
+    )
+    def test_parsers_per_call(self, capsys, monkeypatch, argv, progs):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(parser, **kwargs):
+            built.append(kwargs["prog"])
+            init(parser, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        main(argv)
+        assert built == progs
 
 
 @pytest.mark.skipif(not DIGIT_LIMIT, reason="no digit limit in this interpreter")

@@ -3,8 +3,9 @@
 ``golden/cli_text.json`` holds, per case, the argv and the exact exit
 code, stdout and stderr of ``main(argv)``: top-level and per-subcommand
 help, the invalid-choice and unrecognized-argument errors (top-level usage
-with every subcommand), a subparser's own usage error and two successful
-calls.  argparse wraps its text to ``COLUMNS`` and words it differently
+with every subcommand), a subparser's own usage error, two successful
+calls, and calls where an argument after the first subcommand names
+another (only the first is dispatched to).  argparse wraps its text to ``COLUMNS`` and words it differently
 from one Python minor version to the next, so the cases are run at the
 recorded width and only under the recorded version.
 """

@@ -439,3 +439,46 @@ class TestGrid:
         parallel = run_selftest(n=2, bound=1, jobs=2)
         assert serial.points_checked == parallel.points_checked
         assert serial.ok and parallel.ok
+
+
+CATALOG2 = catalog(2)
+KINDS = tuple(dict.fromkeys(curve.kind for curve in CATALOG2))  # Cij, Cprime1, Cprime2, C, D
+FIELDS = ("over", "under", "right", "left")  # the first four of _band_counts
+
+
+class TestPlantedFaults:
+    """One fault planted at a time on either side of the comparison; the
+    small ``n=2`` sweep must report it on a curve of the faulted kind.  A
+    gate that no fault can trip is not a gate."""
+
+    @staticmethod
+    def diverging_kinds():
+        report = run_selftest(n=2, bound=1, cmax=1, jobs=1)
+        return {d.curve.split(":")[0] for d in report.divergences}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_formula_off_by_two(self, kind, monkeypatch):
+        formula_values = oracle._formula_values
+
+        def planted(tri, prof, layout):  # compare_point evaluates the catalog
+            values = formula_values(tri, prof, layout)
+            return [v + 2 if c.kind == kind else v for c, v in zip(catalog(tri.n), values)]
+
+        monkeypatch.setattr(oracle, "_formula_values", planted)
+        assert self.diverging_kinds() == {kind}
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_oracle_count_off_by_one(self, kind, field, monkeypatch):
+        bands = {b for c, b in zip(CATALOG2, _catalog_layout(2).bands) if c.kind == kind}
+        band_counts = oracle._band_counts
+        k = FIELDS.index(field)
+
+        def planted(gl, first, last):  # one more of ``field``, two fewer crossings
+            counts = band_counts(gl, first, last)
+            if (first, last) not in bands:
+                return counts
+            return (*counts[:k], counts[k] + 1, *counts[k + 1 : 4], counts[4] - 2)
+
+        monkeypatch.setattr(oracle, "_band_counts", planted)
+        assert kind in self.diverging_kinds()
